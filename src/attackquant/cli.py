@@ -22,7 +22,6 @@ from .metrics import BUILTIN_LOADS, get_load, interval_tree_metric, tree_metric
 from .snapshot import likelihoods, load_snapshot, save_snapshot, write_likelihood_csv
 from .stix import import_stix
 from .template import Difficulty, compare_all, instantiate
-from . import template as template_mod
 
 _DIFFICULTIES = click.Choice([d.value for d in Difficulty])
 # load names resolve through get_load so an unknown one exits with the
@@ -129,19 +128,15 @@ def compare(snapshots: tuple[str, ...], difficulty: str, out: str,
     spans: dict[str, tuple[str, dict[str, float | None]]] = {}
     for snap in loaded:
         probs = likelihoods(snap)
-        for campaign_id, index in compare_all(snap, level, probs):
+        index_at = {d: dict(compare_all(snap, d, probs)) for d in Difficulty}
+        for campaign_id, index in index_at[level].items():
             if campaign_id in spans:
                 raise InvariantError(
                     f"campaign {campaign_id!r} appears in more than one snapshot"
                 )
             name = snap.campaign(campaign_id).name
             rows.append((campaign_id, name, index))
-            per_level: dict[str, float | None] = {}
-            for d in Difficulty:
-                try:
-                    per_level[d.value] = template_mod.campaign_index(snap, campaign_id, d, probs)
-                except AttackQuantError:
-                    per_level[d.value] = None
+            per_level = {d.value: index_at[d][campaign_id] for d in Difficulty}
             spans[campaign_id] = (name, per_level)
     rows.sort(key=lambda r: (r[2] is None, r[2] if r[2] is not None else 0.0, r[0]))
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -85,6 +85,8 @@ class KnowledgeSnapshot:
                 raise InvariantError(f"duplicate campaign id {camp.id!r}")
             self.campaigns[camp.id] = camp
         self._subs: dict[str, tuple[str, ...]] = {}
+        # campaign id -> tactic id -> normalized leaf usage, filled on demand
+        self._usage: dict[str, dict[str, frozenset[str]]] = {}
         self._check()
 
     def _check(self) -> None:
@@ -156,6 +158,19 @@ class KnowledgeSnapshot:
         except KeyError:
             raise UnknownEntityError(f"unknown campaign {campaign_id!r}") from None
 
+    def leaf_usage(self, campaign_id: str) -> Mapping[str, frozenset[str]]:
+        """Normalized leaf usage of one campaign per tactic, in tactic order.
+
+        Computed once per campaign through :func:`normalize_usage` and kept
+        on the snapshot, which never changes after construction.
+        """
+        usage = self._usage.get(campaign_id)
+        if usage is None:
+            self.campaign(campaign_id)
+            usage = {t.id: normalize_usage(self, campaign_id, t.id) for t in self.tactics}
+            self._usage[campaign_id] = usage
+        return usage
+
 
 # -- usage normalization ---------------------------------------------------
 
@@ -199,7 +214,7 @@ class ProbMatrix:
         for tactic in snapshot.tactics:
             counter: Counter[str] = Counter()
             for campaign_id in snapshot.campaigns:
-                counter.update(normalize_usage(snapshot, campaign_id, tactic.id))
+                counter.update(snapshot.leaf_usage(campaign_id)[tactic.id])
             self._counts[tactic.id] = counter
             self._totals[tactic.id] = sum(counter.values())
 
@@ -243,11 +258,11 @@ class CampaignMatrix:
 
     def __init__(self, snapshot: KnowledgeSnapshot, campaign_id: str):
         self.campaign_id = campaign_id
-        used: set[tuple[str, str]] = set()
-        for tactic in snapshot.tactics:
-            for leaf in normalize_usage(snapshot, campaign_id, tactic.id):
-                used.add((leaf, tactic.id))
-        self._used = frozenset(used)
+        self._used = frozenset(
+            (leaf, tactic_id)
+            for tactic_id, leaves in snapshot.leaf_usage(campaign_id).items()
+            for leaf in leaves
+        )
 
     def used(self, tech_id: str, tactic_id: str) -> bool:
         return (tech_id, tactic_id) in self._used

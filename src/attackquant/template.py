@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import UndefinedIndexError
 from .metrics import neg_log
-from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods, normalize_usage
+from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods
 from .tree import AttackTree, GateType, Node
 
 ROOT_ID = "campaign"
@@ -37,24 +37,19 @@ def leaf_node_id(tech_id: str, tactic_id: str) -> str:
     return f"{tech_id}@{tactic_id}"
 
 
-def _tactic_children(snapshot: KnowledgeSnapshot, tactic_id: str) -> list[str]:
-    """Parent techniques shown under a tactic.
+def _tactic_children(snapshot: KnowledgeSnapshot) -> dict[str, list[str]]:
+    """Parent techniques shown under each tactic, sorted, in one sweep.
 
-    A parent belongs to the tactic when it, or any of its subtechniques,
+    A parent belongs to a tactic when it, or any of its subtechniques,
     carries the tag; that way every leaf usage normalization can produce
     has a home in the template.
     """
-    out = []
+    parents: dict[str, set[str]] = {}
     for tech in snapshot.techniques.values():
-        if tech.parent is not None:
-            continue
-        tagged = tactic_id in tech.tactics or any(
-            tactic_id in snapshot.technique(s).tactics
-            for s in snapshot.subtechniques_of(tech.id)
-        )
-        if tagged:
-            out.append(tech.id)
-    return sorted(out)
+        parent = tech.id if tech.parent is None else tech.parent
+        for tactic_id in tech.tactics:
+            parents.setdefault(tactic_id, set()).add(parent)
+    return {tactic_id: sorted(ids) for tactic_id, ids in parents.items()}
 
 
 def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> TemplateTree:
@@ -74,8 +69,9 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Templ
 
     nodes: list[Node] = []
     tactic_ids: list[str] = []
+    children_of = _tactic_children(snapshot)
     for tactic in snapshot.tactics:
-        children = _tactic_children(snapshot, tactic.id)
+        children = children_of.get(tactic.id)
         if not children:
             continue
         tactic_ids.append(tactic.id)
@@ -107,11 +103,11 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Templ
 
 def used_pairs(snapshot: KnowledgeSnapshot, campaign_id: str) -> frozenset[tuple[str, str]]:
     """All (technique, tactic) leaf pairs a campaign used."""
-    pairs = set()
-    for tactic in snapshot.tactics:
-        for leaf in normalize_usage(snapshot, campaign_id, tactic.id):
-            pairs.add((leaf, tactic.id))
-    return frozenset(pairs)
+    return frozenset(
+        (leaf, tactic_id)
+        for tactic_id, leaves in snapshot.leaf_usage(campaign_id).items()
+        for leaf in leaves
+    )
 
 
 def campaign_index(
@@ -123,29 +119,45 @@ def campaign_index(
 ) -> float:
     """Security index of one campaign on the difficulty's template.
 
-    Single recursive pass: used leaves contribute -ln p, a subtree whose
-    leaves the campaign never used contributes nothing to its parent
-    (equivalently, the parent's neutral element), OR takes the minimum of
-    the present child values, AND/SAND their sum.  Equals pruning the
-    template to the used leaves and evaluating the security index there.
+    Used leaves contribute -ln p, a subtree whose leaves the campaign
+    never used contributes nothing to its parent (equivalently, the
+    parent's neutral element), OR takes the minimum of the present child
+    values, AND/SAND their sum.  Equals pruning the template to the used
+    leaves and evaluating the security index there.  Only the cone above
+    the used leaves is visited, so the cost follows the campaign's usage,
+    not the template's size.
     """
     snapshot.campaign(campaign_id)
     if probs is None:
         probs = likelihoods(snapshot)
     if template is None:
         template = build_template(snapshot, difficulty)
-    used = used_pairs(snapshot, campaign_id)
     tree = template.tree
+    nodes = tree.nodes
+    parents = tree.parents
+    # Mark every node above a used leaf; the rest of the template is absent.
+    live: set[str] = set()
+    for tech, tactic in used_pairs(snapshot, campaign_id):
+        nid = leaf_node_id(tech, tactic)
+        node = nodes.get(nid)
+        if node is None or (node.type, node.technique, node.tactic) != (GateType.BAS, tech, tactic):
+            continue
+        stack = [nid]
+        while stack:
+            nid = stack.pop()
+            if nid not in live:
+                live.add(nid)
+                stack.extend(parents[nid])
 
     def absent_or_value(nid: str) -> float | None:
-        node = tree.nodes[nid]
-        if node.type is GateType.BAS:
-            if (node.technique, node.tactic) not in used:
-                return None
-            return neg_log(probs.prob_float(node.technique, node.tactic))
-        present = [v for v in (absent_or_value(c) for c in node.children) if v is not None]
-        if not present:
+        if nid not in live:
             return None
+        node = nodes[nid]
+        if node.type is GateType.BAS:
+            return neg_log(probs.prob_float(node.technique, node.tactic))
+        # Live children in child order: the same values in the same order
+        # as a full pass that skips absent subtrees.
+        present = [absent_or_value(c) for c in node.children if c in live]
         if node.type is GateType.OR:
             return min(present)
         # Plain left-fold add, bit-identical with the semiring fold used

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -235,6 +236,35 @@ def test_compare_marks_undefined(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = out.read_text().splitlines()
     assert lines[-1] == "C2,Ghost,default,undefined"
+
+
+def test_compare_builds_one_template_per_difficulty(runner, mini_snapshot, tmp_path,
+                                                    monkeypatch):
+    import attackquant.snapshot as snapshot_mod
+    import attackquant.template as template_mod
+
+    builds = []
+    real_build = template_mod.build_template
+
+    def counting_build(snapshot, difficulty):
+        builds.append(difficulty)
+        return real_build(snapshot, difficulty)
+
+    normalized = Counter()
+    real_normalize = snapshot_mod.normalize_usage
+
+    def counting_normalize(snapshot, campaign_id, tactic_id):
+        normalized[campaign_id, tactic_id] += 1
+        return real_normalize(snapshot, campaign_id, tactic_id)
+
+    snap = snapshot_mod.load_snapshot(str(mini_snapshot))
+    monkeypatch.setattr(template_mod, "build_template", counting_build)
+    monkeypatch.setattr(snapshot_mod, "normalize_usage", counting_normalize)
+    result = invoke(runner, "compare", mini_snapshot, "--out", tmp_path / "cmp.csv")
+    assert result.exit_code == 0, result.output
+    assert len(builds) <= 3
+    assert len(normalized) == len(snap.campaigns) * len(snap.tactics)
+    assert max(normalized.values()) == 1
 
 
 # -- query --------------------------------------------------------------------

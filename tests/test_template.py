@@ -1,8 +1,10 @@
+import csv
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from attackquant import (
     Difficulty,
@@ -15,9 +17,12 @@ from attackquant import (
     instantiate,
     likelihoods,
     load_snapshot,
+    save_snapshot,
     security_index,
     security_range,
 )
+from attackquant.cli import main
+from attackquant.snapshot import Campaign, KnowledgeSnapshot, Tactic, Technique
 from attackquant.template import ROOT_ID, leaf_node_id, used_pairs
 from helpers import random_snapshot, snapshot_from_usage
 
@@ -91,6 +96,23 @@ def test_tactics_without_techniques_are_omitted():
     assert set(tree.node(ROOT_ID).children) == {"A"}
 
 
+def test_parent_joins_a_tactic_through_a_subtechnique_tag():
+    snap = KnowledgeSnapshot(
+        "test-v1",
+        [Tactic("A", "A"), Tactic("B", "B")],
+        [
+            Technique("P", "P", None, ("A",)),
+            Technique("P.1", "P.1", "P", ("A", "B")),
+            Technique("P.2", "P.2", "P", ("A",)),
+        ],
+        [Campaign("C", "C", frozenset({("B", "P.1")}))],
+    )
+    tree = build_template(snap, Difficulty.DEFAULT).tree
+    assert tree.node("B").children == ("P@B",)
+    assert tree.node("P@B").children == ("P.1@B", "P.2@B")
+    assert instantiate(snap, "C")[1] == {"P.1@B": 1.0}
+
+
 def test_miniature_default_index(miniature):
     value = campaign_index(miniature, "CSTAR", Difficulty.DEFAULT)
     assert value == 2.0794415416798357
@@ -142,11 +164,34 @@ def test_index_equals_pruned_template_evaluation():
                 except UndefinedIndexError:
                     continue
                 pruned, attr = instantiate(snap, cid, diff, probs)
-                assert security_index(pruned, attr) == pytest.approx(
-                    direct, abs=1e-9
-                )
+                assert security_index(pruned, attr) == direct
                 checked += 1
     assert checked > 40
+
+
+def test_compare_plot_cells_equal_campaign_index(tmp_path):
+    rng = random.Random(31337)
+    runner = CliRunner()
+    for k in range(15):
+        drawn = random_snapshot(rng)
+        ghost = Campaign("GHOST", "Ghost", frozenset())
+        snap = KnowledgeSnapshot(drawn.version, drawn.tactics, drawn.techniques.values(),
+                                 [*drawn.campaigns.values(), ghost])
+        path = tmp_path / f"s{k}.snapshot.json"
+        save_snapshot(snap, str(path))
+        result = runner.invoke(main, ["compare", str(path), "--out", str(tmp_path / f"c{k}.csv")])
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / f"c{k}.plot.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(row["campaign"] for row in rows) == sorted(snap.campaigns)
+        probs = likelihoods(snap)
+        for row in rows:
+            for diff in Difficulty:
+                try:
+                    expected = f"{campaign_index(snap, row['campaign'], diff, probs):.6f}"
+                except UndefinedIndexError:
+                    expected = "undefined"
+                assert row[diff.value] == expected
 
 
 def test_difficulty_ordering_on_random_snapshots():
