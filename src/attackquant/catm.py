@@ -35,10 +35,12 @@ from .errors import FormulaError, MissingAttributionError
 from .metrics import (
     Interval,
     Load,
+    _split,
+    cuts_metric,
     get_load,
     interval_attack_metric,
 )
-from .tree import AttackTree, GateType, Node, _minimize
+from .tree import AttackTree, GateType, Node, _cross, _decode, _minimize
 
 
 class TruthValue(Enum):
@@ -520,24 +522,16 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
         return all_positive(n[1]) and all_positive(n[2])
 
     if all_positive(root):
-        order = sorted(tree.bas_ids)
-        index = {b: i for i, b in enumerate(order)}
 
         def compose(n) -> list[int]:
             if n[0] == "lit":
-                return [
-                    sum(1 << index[b] for b in cut)
-                    for cut in tree.minimal_attacks(n[1])
-                ]
+                return tree.cut_masks(n[1])
             left, right = compose(n[1]), compose(n[2])
             if n[0] == "or":
                 return _minimize(left + right)
-            return _minimize([a | b for a in left for b in right])
+            return _cross(left, right)
 
-        return frozenset(
-            frozenset(order[i] for i in range(mask.bit_length()) if mask >> i & 1)
-            for mask in compose(root)
-        )
+        return _decode(compose(root), tree.bas_order)
 
     support = sorted(
         {b for name in atoms(formula) for b in _leaf_cone(tree, name)}
@@ -547,17 +541,12 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
             f"negated formula over {len(support)} leaves: enumeration refused "
             f"(limit {_SUPPORT_LIMIT})"
         )
-    satisfying: list[set[str]] = []
-    for mask in range(1 << len(support)):
-        candidate = {support[i] for i in range(len(support)) if mask >> i & 1}
-        if eval_layer1(tree, candidate, formula):
-            satisfying.append(candidate)
-    satisfying.sort(key=len)
-    minimal: list[set[str]] = []
-    for cand in satisfying:
-        if not any(kept <= cand for kept in minimal):
-            minimal.append(cand)
-    return frozenset(frozenset(s) for s in minimal)
+    satisfying = [
+        mask
+        for mask in range(1 << len(support))
+        if eval_layer1(tree, {support[i] for i in range(len(support)) if mask >> i & 1}, formula)
+    ]
+    return _decode(_minimize(satisfying), support)
 
 
 def _leaf_cone(tree: AttackTree, node_id: str) -> frozenset[str]:
@@ -579,38 +568,11 @@ def formula_metric(
     attributions ((lo, hi) values) it is the endpoint-evaluated interval.
     An unsatisfiable formula yields the load's nabla unit.
     """
-    cuts = sorted(minimal_satisfying_sets(tree, formula), key=lambda c: (len(c), sorted(c)))
-    interval_mode = any(isinstance(v, tuple) for v in attribution.values())
-    if not interval_mode:
-        point = {k: float(v) for k, v in attribution.items()}
-        return load.fold_nabla(
-            load.fold_delta(
-                _lookup(point, step, load) for step in sorted(cut)
-            )
-            for cut in cuts
-        )
-    spans: dict[str, Interval] = {}
-    for key, value in attribution.items():
-        if isinstance(value, tuple):
-            spans[key] = (float(value[0]), float(value[1]))
-        else:
-            spans[key] = (float(value), float(value))
-    lows = {k: v[0] for k, v in spans.items()}
-    highs = {k: v[1] for k, v in spans.items()}
-    low_val = load.fold_nabla(
-        load.fold_delta(_lookup(lows, s, load) for s in sorted(cut)) for cut in cuts
-    )
-    high_val = load.fold_nabla(
-        load.fold_delta(_lookup(highs, s, load) for s in sorted(cut)) for cut in cuts
-    )
-    return (low_val, high_val)
-
-
-def _lookup(attr: Mapping[str, float], step: str, load: Load) -> float:
-    try:
-        value = attr[step]
-    except KeyError:
-        raise MissingAttributionError(
-            f"no {load.name} attribution for leaf {step!r}"
-        ) from None
-    return load.check_value(value, f"leaf {step!r}")
+    cuts = minimal_satisfying_sets(tree, formula)
+    if not any(isinstance(v, tuple) for v in attribution.values()):
+        return cuts_metric(load, {k: float(v) for k, v in attribution.items()}, cuts)
+    lows, highs = _split({
+        k: (float(v[0]), float(v[1])) if isinstance(v, tuple) else (float(v), float(v))
+        for k, v in attribution.items()
+    })
+    return (cuts_metric(load, lows, cuts), cuts_metric(load, highs, cuts))

@@ -7,6 +7,12 @@ nabla, nabla absorbs (x nabla (x delta y) = x), and the units satisfy
 unit_nabla delta x = unit_nabla and unit_delta delta x = x.  Those laws
 are what make the bottom-up tree pass agree with the definition over
 minimal attacks on tree-structured trees.
+
+Two folds compute every metric: :func:`fold`, the bottom-up pass over a
+tree-structured cone (also the campaign security index, with unused
+subtrees absent), and :func:`cuts_metric`, nabla over a family of
+attacks (minimal attacks or minimal satisfying sets).  Interval
+attributions call either once per endpoint.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from functools import reduce
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import InvariantError, MissingAttributionError, UnknownEntityError
-from .tree import AttackTree, GateType
+from .tree import AttackTree, GateType, Node
 
 Interval = tuple[float, float]
 
@@ -34,16 +41,10 @@ class Load:
     domain: Interval
 
     def fold_nabla(self, values: Iterable[float]) -> float:
-        acc = self.unit_nabla
-        for v in values:
-            acc = self.nabla(acc, v)
-        return acc
+        return reduce(self.nabla, values, self.unit_nabla)
 
     def fold_delta(self, values: Iterable[float]) -> float:
-        acc = self.unit_delta
-        for v in values:
-            acc = self.delta(acc, v)
-        return acc
+        return reduce(self.delta, values, self.unit_delta)
 
     def check_value(self, value: float, where: str) -> float:
         lo, hi = self.domain
@@ -89,6 +90,55 @@ def attack_metric(load: Load, attr: Mapping[str, float], attack: Iterable[str]) 
     return load.fold_delta(_value(attr, step, load) for step in sorted(set(attack)))
 
 
+def cuts_metric(load: Load, attr: Mapping[str, float], cuts: Iterable[Collection[str]]) -> float:
+    """nabla over a family of attacks of their delta-folds, smallest first."""
+    return load.fold_nabla(
+        attack_metric(load, attr, cut)
+        for cut in sorted(cuts, key=lambda c: (len(c), sorted(c)))
+    )
+
+
+def fold(
+    tree: AttackTree,
+    load: Load,
+    leaf_value: Callable[[Node], float],
+    target: str,
+    live: Collection[str] | None = None,
+) -> float:
+    """Bottom-up pass over the cone of ``target``: nabla at OR, delta at AND/SAND.
+
+    Leaves give ``leaf_value(node)``.  Children outside ``live``, when
+    given, are absent, which is pruning without building a pruned tree.
+    Sound only on tree-structured cones.  Iterative, so depth is
+    unbounded; each gate is visited once, children in child order.
+    """
+    nodes = tree.nodes
+    bas, or_ = GateType.BAS, GateType.OR
+
+    def gate_frame(gate: Node) -> tuple[Node, Iterator[str], list[float]]:
+        children = gate.children if live is None else [c for c in gate.children if c in live]
+        return gate, iter(children), []
+
+    top = nodes[target]
+    if top.type is bas:
+        return leaf_value(top)
+    frames = [gate_frame(top)]
+    while True:
+        gate, children, values = frames[-1]
+        for child in children:
+            node = nodes[child]
+            if node.type is not bas:
+                frames.append(gate_frame(node))  # resume this gate's children later
+                break
+            values.append(leaf_value(node))
+        else:
+            frames.pop()
+            value = load.fold_nabla(values) if gate.type is or_ else load.fold_delta(values)
+            if not frames:
+                return value
+            frames[-1][2].append(value)
+
+
 def tree_metric(
     load: Load,
     attr: Mapping[str, float],
@@ -98,9 +148,10 @@ def tree_metric(
 ) -> float:
     """nabla over the node's minimal attacks of their delta-folds.
 
-    ``method`` selects the computation: "definitional" enumerates minimal
-    attacks (always correct, exponential worst case), "bottom-up" is the
-    linear-time pass that is only sound on tree-structured trees, "auto"
+    ``method`` selects the computation: "definitional" applies
+    :func:`cuts_metric` to the enumerated minimal attacks (always
+    correct, exponential worst case), "bottom-up" is the linear-time
+    :func:`fold`, which is only sound on tree-structured trees, "auto"
     picks bottom-up exactly when the tree is tree-structured.
     """
     tree.require_valid()
@@ -109,32 +160,12 @@ def tree_metric(
     if method == "auto":
         method = "bottom-up" if tree.is_tree_structured else "definitional"
     if method == "definitional":
-        cuts = tree.minimal_attacks(target)
-        folded = (
-            attack_metric(load, attr, cut)
-            for cut in sorted(cuts, key=lambda c: (len(c), sorted(c)))
-        )
-        return load.fold_nabla(folded)
+        return cuts_metric(load, attr, tree.minimal_attacks(target))
     if method != "bottom-up":
         raise ValueError(f"unknown method {method!r}")
     if not tree.is_tree_structured:
         raise InvariantError("bottom-up pass is unsound on DAG-structured trees")
-    memo: dict[str, float] = {}
-
-    def up(nid: str) -> float:
-        if nid in memo:
-            return memo[nid]
-        node = tree.nodes[nid]
-        if node.type is GateType.BAS:
-            result = _value(attr, nid, load)
-        elif node.type is GateType.OR:
-            result = load.fold_nabla(up(c) for c in node.children)
-        else:
-            result = load.fold_delta(up(c) for c in node.children)
-        memo[nid] = result
-        return result
-
-    return up(target)
+    return fold(tree, load, lambda node: _value(attr, node.id, load), target)
 
 
 def _split(iattr: Mapping[str, Interval]) -> tuple[dict[str, float], dict[str, float]]:

@@ -218,8 +218,8 @@ class ProbMatrix:
             self._counts[tactic.id] = counter
             self._totals[tactic.id] = sum(counter.values())
 
-    def prob(self, tech_id: str, tactic_id: str) -> Fraction:
-        """Likelihood of one leaf technique under one tactic, exact."""
+    def _count(self, tech_id: str, tactic_id: str) -> tuple[int, int]:
+        """(uses of the leaf, all leaf uses) under one tactic, checked."""
         if tactic_id not in self._counts:
             raise UnknownEntityError(f"unknown tactic {tactic_id!r}")
         self._snapshot.technique(tech_id)
@@ -228,10 +228,16 @@ class ProbMatrix:
             raise UnknownEntityError(
                 f"tactic {tactic_id!r} has no recorded usage in any campaign"
             )
-        return Fraction(self._counts[tactic_id][tech_id], total)
+        return self._counts[tactic_id][tech_id], total
+
+    def prob(self, tech_id: str, tactic_id: str) -> Fraction:
+        """Likelihood of one leaf technique under one tactic, exact."""
+        return Fraction(*self._count(tech_id, tactic_id))
 
     def prob_float(self, tech_id: str, tactic_id: str) -> float:
-        return float(self.prob(tech_id, tactic_id))
+        """``float(prob(...))``: int true division is correctly rounded too."""
+        count, total = self._count(tech_id, tactic_id)
+        return count / total
 
     def observed_tactics(self) -> tuple[str, ...]:
         return tuple(t.id for t in self._snapshot.tactics if self._totals[t.id] > 0)
@@ -253,16 +259,21 @@ def likelihoods(snapshot: KnowledgeSnapshot) -> ProbMatrix:
     return ProbMatrix(snapshot)
 
 
+def used_pairs(snapshot: KnowledgeSnapshot, campaign_id: str) -> frozenset[tuple[str, str]]:
+    """All (technique, tactic) leaf pairs a campaign used."""
+    return frozenset(
+        (leaf, tactic_id)
+        for tactic_id, leaves in snapshot.leaf_usage(campaign_id).items()
+        for leaf in leaves
+    )
+
+
 class CampaignMatrix:
     """Which leaf techniques one campaign used, keyed by (technique, tactic)."""
 
     def __init__(self, snapshot: KnowledgeSnapshot, campaign_id: str):
         self.campaign_id = campaign_id
-        self._used = frozenset(
-            (leaf, tactic_id)
-            for tactic_id, leaves in snapshot.leaf_usage(campaign_id).items()
-            for leaf in leaves
-        )
+        self._used = used_pairs(snapshot, campaign_id)
 
     def used(self, tech_id: str, tactic_id: str) -> bool:
         return (tech_id, tactic_id) in self._used
@@ -280,7 +291,7 @@ def campaign_matrix(snapshot: KnowledgeSnapshot, campaign_id: str) -> CampaignMa
 
 
 def _require(mapping: Mapping, key: str, kind: type, where: str):
-    if not isinstance(mapping, Mapping):
+    if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected an object")
     value = mapping.get(key)
     if value is None:
@@ -314,7 +325,7 @@ def load_snapshot(source: str | IO[str]) -> KnowledgeSnapshot:
     ]
     techniques = []
     for raw in _require(data, "techniques", list, "snapshot"):
-        parent = raw.get("parent") if isinstance(raw, Mapping) else None
+        parent = raw.get("parent") if isinstance(raw, dict) else None
         if parent is not None and not isinstance(parent, str):
             raise ParseError("technique: field 'parent' must be str")
         tactics_field = _require(raw, "tactics", list, "technique")

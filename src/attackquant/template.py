@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UndefinedIndexError
-from .metrics import neg_log
-from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods
+from .metrics import SECURITY_INDEX, fold, neg_log
+from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods, used_pairs
 from .tree import AttackTree, GateType, Node
 
 ROOT_ID = "campaign"
@@ -101,15 +101,6 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Templ
     return TemplateTree(AttackTree(nodes, ROOT_ID), difficulty)
 
 
-def used_pairs(snapshot: KnowledgeSnapshot, campaign_id: str) -> frozenset[tuple[str, str]]:
-    """All (technique, tactic) leaf pairs a campaign used."""
-    return frozenset(
-        (leaf, tactic_id)
-        for tactic_id, leaves in snapshot.leaf_usage(campaign_id).items()
-        for leaf in leaves
-    )
-
-
 def campaign_index(
     snapshot: KnowledgeSnapshot,
     campaign_id: str,
@@ -123,9 +114,10 @@ def campaign_index(
     never used contributes nothing to its parent (equivalently, the
     parent's neutral element), OR takes the minimum of the present child
     values, AND/SAND their sum.  Equals pruning the template to the used
-    leaves and evaluating the security index there.  Only the cone above
-    the used leaves is visited, so the cost follows the campaign's usage,
-    not the template's size.
+    leaves and evaluating the security index there: it is the same
+    :func:`~attackquant.metrics.fold`, restricted to the cone above the
+    used leaves, so the cost follows the campaign's usage, not the
+    template's size.
     """
     snapshot.campaign(campaign_id)
     if probs is None:
@@ -148,28 +140,15 @@ def campaign_index(
             if nid not in live:
                 live.add(nid)
                 stack.extend(parents[nid])
-
-    def absent_or_value(nid: str) -> float | None:
-        if nid not in live:
-            return None
-        node = nodes[nid]
-        if node.type is GateType.BAS:
-            return neg_log(probs.prob_float(node.technique, node.tactic))
-        # Live children in child order: the same values in the same order
-        # as a full pass that skips absent subtrees.
-        present = [absent_or_value(c) for c in node.children if c in live]
-        if node.type is GateType.OR:
-            return min(present)
-        # Plain left-fold add, bit-identical with the semiring fold used
-        # by the prune-then-evaluate path.
-        return sum(present)
-
-    value = absent_or_value(tree.root)
-    if value is None:
+    if tree.root not in live:
         raise UndefinedIndexError(
             f"campaign {campaign_id!r} has no recorded usage; index undefined"
         )
-    return value
+    return fold(
+        tree, SECURITY_INDEX,
+        lambda node: neg_log(probs.prob_float(node.technique, node.tactic)),
+        tree.root, live,
+    )
 
 
 def security_range(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, UnknownEntityError
 
@@ -54,6 +54,19 @@ def _minimize(families: Iterable[int]) -> list[int]:
     return kept
 
 
+def _cross(left: list[int], right: list[int]) -> list[int]:
+    """AND of two cut families (bitmasks over one BAS order): minimal unions."""
+    return _minimize([a | b for a in left for b in right])
+
+
+def _decode(masks: Iterable[int], order: Sequence[str]) -> frozenset[Attack]:
+    """Bitmasks back to attacks, bit i naming ``order[i]``."""
+    return frozenset(
+        frozenset(order[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        for mask in masks
+    )
+
+
 class AttackTree:
     """Immutable rooted DAG of OR/AND/SAND gates over BAS leaves.
 
@@ -75,7 +88,7 @@ class AttackTree:
         self._violations: list[str] | None = None
         self._parents: dict[str, tuple[str, ...]] | None = None
         self._cut_bits: dict[str, list[int]] = {}
-        self._bas_order: list[str] | None = None
+        self._bas_order: tuple[str, ...] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -216,23 +229,24 @@ class AttackTree:
             stack.extend(self._nodes[nid].children)
         return frozenset(seen)
 
-    def _bas_index(self) -> dict[str, int]:
+    @property
+    def bas_order(self) -> tuple[str, ...]:
+        """BAS ids, sorted; bit i of every cut mask stands for entry i."""
         if self._bas_order is None:
-            self._bas_order = sorted(self.bas_ids)
-        return {b: i for i, b in enumerate(self._bas_order)}
+            self._bas_order = tuple(sorted(self.bas_ids))
+        return self._bas_order
 
-    def minimal_attacks(self, node_id: str | None = None) -> frozenset[Attack]:
-        """Subset-minimal attacks compromising the node (default: root).
+    def cut_masks(self, node_id: str) -> list[int]:
+        """Minimal attacks of a node as bitmasks over :attr:`bas_order`.
 
         Computed bottom-up over the node's descendant cone with
         subsumption elimination at every gate, so shared subtrees in DAGs
-        cannot smuggle non-minimal products into the result.
+        cannot smuggle non-minimal products into the result.  The list
+        returned is the tree's cache of that node's family: do not mutate it.
         """
         self.require_valid()
-        target = self.root if node_id is None else node_id
-        self.node(target)
-        index = self._bas_index()
-        order = self._bas_order or []
+        self.node(node_id)
+        bit = {b: 1 << i for i, b in enumerate(self.bas_order)}
 
         def cuts(nid: str) -> list[int]:
             cached = self._cut_bits.get(nid)
@@ -240,24 +254,22 @@ class AttackTree:
                 return cached
             node = self._nodes[nid]
             if node.type is GateType.BAS:
-                result = [1 << index[nid]]
+                result = [bit[nid]]
             elif node.type is GateType.OR:
-                acc: list[int] = []
-                for child in node.children:
-                    acc.extend(cuts(child))
-                result = _minimize(acc)
+                result = _minimize(m for child in node.children for m in cuts(child))
             else:
                 result = [0]
                 for child in node.children:
-                    child_cuts = cuts(child)
-                    result = _minimize([a | b for a in result for b in child_cuts])
+                    result = _cross(result, cuts(child))
             self._cut_bits[nid] = result
             return result
 
-        return frozenset(
-            frozenset(order[i] for i in range(mask.bit_length()) if mask >> i & 1)
-            for mask in cuts(target)
-        )
+        return cuts(node_id)
+
+    def minimal_attacks(self, node_id: str | None = None) -> frozenset[Attack]:
+        """Subset-minimal attacks compromising the node (default: root)."""
+        target = self.root if node_id is None else node_id
+        return _decode(self.cut_masks(target), self.bas_order)
 
     def is_module(self, node_id: str) -> bool:
         """Whether every path between the node's cone and the rest runs through it."""

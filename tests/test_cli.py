@@ -149,6 +149,22 @@ def test_metric_security_index(runner, fixtures):
     assert result.output.strip() == "0.693147"
 
 
+def test_metric_on_a_5000_deep_or_chain(runner, tmp_path):
+    depth = 5000
+    nodes = [
+        {"id": f"g{i}", "type": "OR",
+         "children": [f"b{i}", f"g{i + 1}" if i + 1 < depth else f"b{depth}"]}
+        for i in range(depth)
+    ]
+    costs = [float(1 + (i * 7919) % 1000) for i in range(depth + 1)]
+    nodes += [{"id": f"b{i}", "type": "BAS", "attrs": {"mincost": c}} for i, c in enumerate(costs)]
+    doc = tmp_path / "chain.at.json"
+    doc.write_text(json.dumps({"format": "at/1", "root": "g0", "nodes": nodes}))
+    result = invoke(runner, "metric", doc, "--metric", "mincost")
+    assert result.exit_code == 0, result.output
+    assert result.output == f"{min(costs):.6f}\n"
+
+
 def test_metric_unknown_load(runner, fixtures):
     result = invoke(
         runner, "metric", fixtures / "wocao-initial-access.at.json", "--metric", "entropy"

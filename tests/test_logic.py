@@ -13,6 +13,7 @@ from attackquant import (
     AttackTree,
     FormulaError,
     Iff,
+    InvariantError,
     Implies,
     MetricLeq,
     MissingAttributionError,
@@ -30,7 +31,7 @@ from attackquant import (
 )
 from attackquant.catm import kleene_and, kleene_not, kleene_or, layer_of
 from attackquant.metrics import MAX_PROB, MIN_COST
-from helpers import AND, BAS, OR, wocao_entry_tree
+from helpers import AND, BAS, OR, random_tree, wocao_entry_tree
 
 T, M, F = TruthValue.TRUE, TruthValue.MAYBE, TruthValue.FALSE
 
@@ -397,23 +398,47 @@ def brute_sets(tree, formula):
     return frozenset(a for a in sat if not any(b < a for b in sat))
 
 
+def _dag_cases(count: int = 3):
+    """Formulas over random DAG-shaped trees: shared gates, both branches."""
+    cases = []
+    seed = 0
+    while len(cases) < 4 * count:
+        seed += 1
+        tree = random_tree(random.Random(seed), max_leaves=8, dag=True)
+        if tree.is_tree_structured:
+            continue
+        shared = min(nid for nid, ps in tree.parents.items() if len(ps) > 1)
+        leaf = min(tree.bas_ids)
+        for text in (
+            tree.root,
+            f"{shared} & {leaf}",
+            f"{shared} | !{leaf}",
+            f"!({tree.root} & {leaf})",
+        ):
+            cases.append(pytest.param(tree, text, id=f"dag{seed}: {text}"))
+    return cases
+
+
 @pytest.mark.parametrize(
-    "text",
+    "tree, text",
     [
-        "InA",
-        "EVJ & !VPN",
-        "EVJ | VPN",
-        "CVE1 & CVE2",
-        "!CVE1",
-        "CVE1 => VPN",
-        "EVJ <=> VPN",
-        "GVC & (CVE1 | CVP)",
-        "!(EVJ & VPN)",
-        "InA & !CVE1 & !CVE2",
-    ],
+        pytest.param(wocao_entry_tree(), text, id=text)
+        for text in (
+            "InA",
+            "EVJ & !VPN",
+            "EVJ | VPN",
+            "CVE1 & CVE2",
+            "!CVE1",
+            "CVE1 => VPN",
+            "EVJ <=> VPN",
+            "GVC & (CVE1 | CVP)",
+            "!(EVJ & VPN)",
+            "InA & !CVE1 & !CVE2",
+        )
+    ]
+    + _dag_cases(),
 )
-def test_minimal_satisfying_sets_match_brute_force(text):
-    tree = wocao_entry_tree()
+def test_minimal_satisfying_sets_match_brute_force(tree, text):
     formula = parse(text)
     assert minimal_satisfying_sets(tree, formula) == brute_sets(tree, formula)
 
@@ -467,6 +492,13 @@ def test_formula_metric_interval(intervals_doc):
     spans = intervals_doc.interval_attribution("maxprob")
     got = formula_metric(intervals_doc.tree, spans, MAX_PROB, parse("CVE1 | CVE2"))
     assert got == (0.2, 0.3)
+
+
+def test_formula_metric_rejects_out_of_order_interval():
+    tree = wocao_entry_tree()
+    spans = {"CVE1": (0.5, 0.2), "CVE2": 0.3, "GVC": (0.1, 0.4), "CVP": (0.2, 0.2)}
+    with pytest.raises(InvariantError, match="out of order"):
+        formula_metric(tree, spans, MAX_PROB, parse("InA"))
 
 
 def test_formula_metric_rejects_layer2():

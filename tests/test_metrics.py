@@ -179,6 +179,22 @@ def test_metric_over_minimal_equals_over_all_successful():
             assert math.isclose(via_minimal, via_all, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def or_chain(depth: int) -> tuple[AttackTree, dict[str, float]]:
+    """OR gates ``depth`` deep, each over one leaf and the next gate."""
+    nodes = [
+        Node(f"g{i}", OR, (f"b{i}", f"g{i + 1}" if i + 1 < depth else f"b{depth}"))
+        for i in range(depth)
+    ]
+    nodes += [Node(f"b{i}", BAS, ()) for i in range(depth + 1)]
+    costs = {f"b{i}": float(1 + (i * 7919) % 1000) for i in range(depth + 1)}
+    return AttackTree(nodes, "g0"), costs
+
+
+def test_bottom_up_evaluates_a_5000_deep_or_chain():
+    tree, costs = or_chain(5000)
+    assert tree_metric(MIN_COST, costs, tree) == min(costs.values())
+
+
 def test_tree_metric_at_inner_node():
     tree = wocao_entry_tree()
     assert tree_metric(MIN_COST, ENTRY_COSTS, tree, node_id="VPN") == 12.0
