@@ -53,12 +53,10 @@ from .metrics import (
 )
 from .snapshot import (
     Campaign,
-    CampaignMatrix,
     KnowledgeSnapshot,
     ProbMatrix,
     Tactic,
     Technique,
-    campaign_matrix,
     likelihoods,
     load_snapshot,
     normalize_usage,
@@ -68,7 +66,6 @@ from .snapshot import (
 from .stix import import_stix
 from .template import (
     Difficulty,
-    TemplateTree,
     build_template,
     campaign_index,
     compare_all,

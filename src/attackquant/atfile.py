@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO
 
-from .errors import InvariantError, MissingAttributionError, ParseError
+from .errors import InvariantError, MissingAttributionError, ParseError, read_json
 from .metrics import BUILTIN_LOADS, Interval, get_load, neg_log
 from .tree import AttackTree, GateType, Node
 
@@ -73,32 +73,29 @@ class AtDocument:
 
 def _interval_from(raw, where: str, load_name: str) -> Interval:
     load = get_load(load_name)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = load.check_value(float(raw), where)
-        return (value, value)
-    if (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-    ):
-        lo, hi = float(raw[0]), float(raw[1])
-        if lo > hi:
-            raise InvariantError(f"{where}: interval bounds out of order [{lo}, {hi}]")
-        load.check_value(lo, where)
-        load.check_value(hi, where)
-        return (lo, hi)
+    try:
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            value = load.check_value(float(raw), where)
+            return (value, value)
+        if (
+            isinstance(raw, list)
+            and len(raw) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
+        ):
+            lo, hi = float(raw[0]), float(raw[1])
+            if lo > hi:
+                raise InvariantError(f"{where}: interval bounds out of order [{lo}, {hi}]")
+            load.check_value(lo, where)
+            load.check_value(hi, where)
+            return (lo, hi)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{where}: number out of range") from None
     raise ParseError(f"{where}: expected a number or [lo, hi]")
 
 
 def read_at(source: str | IO[str]) -> AtDocument:
     """Parse an at/1 document from a path or open text file."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return read_at(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"attack tree file is not valid JSON: {exc}") from exc
+    data = read_json(source, "attack tree file")
     if not isinstance(data, dict):
         raise ParseError("attack tree file: top level must be an object")
     if data.get("format") != "at/1":

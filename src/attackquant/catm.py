@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import FormulaError, MissingAttributionError
 from .metrics import (
@@ -124,20 +124,44 @@ def Xiff(left: Formula, right: Formula) -> Formula:
     return Not(Iff(left, right))
 
 
+def _subformulas(formula: Formula, stop: tuple[type, ...] = ()) -> list[Formula]:
+    """Distinct subformula objects, operands first, left to right; iterative.
+
+    Keyed by identity, so an operand that ``Iff`` shares is listed once.
+    Formulas of a type in ``stop`` are listed without their operands.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = [(formula, False)]
+    while stack:
+        f, done = stack.pop()
+        if done:
+            order.append(f)
+        elif id(f) not in seen:
+            seen.add(id(f))
+            stack.append((f, True))
+            if isinstance(f, stop):
+                continue
+            match f:
+                case Atom(_):
+                    pass
+                case And(left, right):
+                    stack.append((right, False))
+                    stack.append((left, False))
+                case Not(inner) | MetricLeq(_, inner, _) | Assign(_, _, _, inner):
+                    stack.append((inner, False))
+                case _:
+                    raise TypeError(f"not a formula: {f!r}")
+    return order
+
+
 def atoms(formula: Formula) -> frozenset[str]:
     """All atom names anywhere in the formula, metric bodies included."""
-    match formula:
-        case Atom(name):
-            return frozenset({name})
-        case Not(operand):
-            return atoms(operand)
-        case And(left, right):
-            return atoms(left) | atoms(right)
-        case MetricLeq(_, inner, _):
-            return atoms(inner)
-        case Assign(_, _, _, body):
-            return atoms(body)
-    raise TypeError(f"not a formula: {formula!r}")
+    return frozenset(f.name for f in _subformulas(formula) if isinstance(f, Atom))
+
+
+def _pure(walk: list[Formula]) -> bool:
+    return all(isinstance(f, (Atom, Not, And)) for f in walk)
 
 
 def layer_of(formula: Formula) -> int:
@@ -146,39 +170,18 @@ def layer_of(formula: Formula) -> int:
     A bare atom at layer 2 (outside every MetricLeq) is illegal: the
     trivalent semantics has no reading for it.
     """
-
-    def pure_layer1(f: Formula) -> bool:
-        match f:
-            case Atom(_):
-                return True
-            case Not(operand):
-                return pure_layer1(operand)
-            case And(left, right):
-                return pure_layer1(left) and pure_layer1(right)
-            case _:
-                return False
-
-    if pure_layer1(formula):
+    walk = _subformulas(formula, (MetricLeq,))
+    if _pure(walk):
         return 1
-    # Otherwise every leaf position must be a layer-2 construct.
-    def check2(f: Formula) -> None:
-        match f:
-            case Atom(name):
-                raise FormulaError(
-                    f"atom {name!r} at layer 2 must sit inside a metric(...) check"
-                )
-            case Not(operand):
-                check2(operand)
-            case And(left, right):
-                check2(left)
-                check2(right)
-            case MetricLeq(_, inner, _):
-                if not pure_layer1(inner):
-                    raise FormulaError("metric(...) bodies must be layer-1 formulas")
-            case Assign(_, _, _, body):
-                check2(body)
-
-    check2(formula)
+    # Otherwise every leaf position must be a layer-2 construct; the
+    # leftmost one that is not is reported.
+    for f in walk:
+        if isinstance(f, Atom):
+            raise FormulaError(
+                f"atom {f.name!r} at layer 2 must sit inside a metric(...) check"
+            )
+        if isinstance(f, MetricLeq) and not _pure(_subformulas(f.formula)):
+            raise FormulaError("metric(...) bodies must be layer-1 formulas")
     return 2
 
 
@@ -221,11 +224,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Binary operators: precedence (higher binds tighter) and constructor.
+_BINARY = {
+    "amp": (3, And), "pipe": (2, Or), "implies": (1, Implies), "iff": (0, Iff), "xiff": (0, Xiff),
+}
+# Nesting through "(", "metric(" and "set" recurses once per level; deeper
+# formulas are refused rather than left to exhaust the interpreter's stack.
+_MAX_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -249,40 +262,26 @@ class _Parser:
         return formula
 
     def formula(self) -> Formula:
-        left = self.implication()
-        while (token := self.peek()) and token.kind in ("iff", "xiff"):
-            self.take()
-            right = self.implication()
-            left = Iff(left, right) if token.kind == "iff" else Xiff(left, right)
-        return left
+        """Operands joined by binary operators, grouped by precedence."""
+        operands = [self.operand()]
+        pending: list[str] = []
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if (token := self.peek()) and token.kind == "implies":
-            self.take()
-            return Implies(left, self.implication())
-        return left
+        def reduce() -> None:
+            right = operands.pop()
+            operands.append(_BINARY[pending.pop()][1](operands.pop(), right))
 
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while (token := self.peek()) and token.kind == "pipe":
+        while (token := self.peek()) and token.kind in _BINARY:
             self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while (token := self.peek()) and token.kind == "amp":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token is not None and token.kind == "bang":
-            self.take()
-            return Not(self.unary())
-        return self.primary()
+            # an open operator binding at least as tightly takes its right
+            # operand now, except that => leaves an earlier => open
+            prec = _BINARY[token.kind][0] + (token.kind == "implies")
+            while pending and _BINARY[pending[-1]][0] >= prec:
+                reduce()
+            pending.append(token.kind)
+            operands.append(self.operand())
+        while pending:
+            reduce()
+        return operands[0]
 
     def number(self) -> float:
         token = self.take("word")
@@ -292,40 +291,46 @@ class _Parser:
             raise FormulaError(f"not a number: {token.text!r}", token.pos) from None
         return value
 
-    def primary(self) -> Formula:
-        token = self.peek()
-        if token is None:
-            raise FormulaError("unexpected end of formula", len(self.text))
-        if token.kind == "lparen":
-            self.take()
-            inner = self.formula()
-            self.take("rparen")
-            return inner
-        if token.kind == "metric":
-            self.take()
-            self.take("lparen")
-            load = self.take("word").text
-            self.take("comma")
-            inner = self.formula()
-            self.take("rparen")
-            self.take("leq")
-            bound = self.number()
-            return MetricLeq(load, inner, bound)
-        if token.kind == "set":
-            self.take()
-            target = self.take("word").text
-            self.take("eq")
-            self.take("lbracket")
-            low = self.number()
-            self.take("comma")
-            high = self.number()
-            self.take("rbracket")
-            self.take("in")
-            return Assign(target, low, high, self.formula())
+    def operand(self) -> Formula:
+        """``!``s before an atom or a nested formula, which recurses one level deeper."""
+        negations = 0
+        while (token := self.take()).kind == "bang":
+            negations += 1
         if token.kind == "word":
-            self.take()
-            return Atom(token.text)
-        raise FormulaError(f"unexpected {token.text!r}", token.pos)
+            formula: Formula = Atom(token.text)
+        elif token.kind in ("lparen", "metric", "set"):
+            if self.depth == _MAX_DEPTH:
+                raise FormulaError(
+                    f"formula nested more than {_MAX_DEPTH} levels deep", token.pos
+                )
+            self.depth += 1
+            if token.kind == "lparen":
+                formula = self.formula()
+                self.take("rparen")
+            elif token.kind == "metric":
+                self.take("lparen")
+                load = self.take("word").text
+                self.take("comma")
+                body = self.formula()
+                self.take("rparen")
+                self.take("leq")
+                formula = MetricLeq(load, body, self.number())
+            else:
+                target = self.take("word").text
+                self.take("eq")
+                self.take("lbracket")
+                low = self.number()
+                self.take("comma")
+                high = self.number()
+                self.take("rbracket")
+                self.take("in")
+                formula = Assign(target, low, high, self.formula())
+            self.depth -= 1
+        else:
+            raise FormulaError(f"unexpected {token.text!r}", token.pos)
+        for _ in range(negations):
+            formula = Not(formula)
+        return formula
 
 
 def parse(text: str) -> Formula:
@@ -344,24 +349,36 @@ def bind(tree: AttackTree, formula: Formula) -> None:
 # -- layer 1 ----------------------------------------------------------------
 
 
-def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bool:
-    """Judge a Boolean formula against one attack via the structure function."""
+def _layer1(tree: AttackTree, formula: Formula, refusal: str) -> tuple[list[Formula], list[str]]:
+    """A layer-1 query's checks, run once; the formula's walk and its atoms' cone postorder."""
     if layer_of(formula) != 1:
-        raise FormulaError("layer-2 constructs cannot be evaluated as layer 1")
+        raise FormulaError(refusal)
     bind(tree, formula)
-    steps = frozenset(attack)
+    tree.require_valid()
+    walk = _subformulas(formula)
+    names = dict.fromkeys(f.name for f in walk if isinstance(f, Atom))
+    return walk, list(dict.fromkeys(n for name in names for n in tree._postorder(name)))
 
-    def run(f: Formula) -> bool:
+
+def _holds(tree: AttackTree, walk: list[Formula], cone: list[str], steps: AbstractSet[str]) -> bool:
+    """Layer-1 verdict for one attack, without the checks :func:`_layer1` has run."""
+    truth = tree._truth(cone, steps)
+    value: dict[int, bool] = {}
+    for f in walk:
         match f:
             case Atom(name):
-                return tree.structure_function(name, steps)
+                value[id(f)] = truth[name]
             case Not(operand):
-                return not run(operand)
+                value[id(f)] = not value[id(operand)]
             case And(left, right):
-                return run(left) and run(right)
-        raise TypeError(f"not a layer-1 formula: {f!r}")
+                value[id(f)] = value[id(left)] and value[id(right)]
+    return value[id(walk[-1])]
 
-    return run(formula)
+
+def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bool:
+    """Judge a Boolean formula against one attack via the structure function."""
+    walk, cone = _layer1(tree, formula, "layer-2 constructs cannot be evaluated as layer 1")
+    return _holds(tree, walk, cone, tree._as_attack(attack))
 
 
 # -- layer 2 ----------------------------------------------------------------
@@ -423,65 +440,77 @@ def eval_layer2(
     if layer_of(formula) != 2:
         raise FormulaError("layer-1 formula: use eval_layer1")
     bind(tree, formula)
-    steps = frozenset(attack)
-    tree._as_attack(steps)
+    steps = tree._as_attack(attack)
 
-    def run(tr: AttackTree, att: frozenset[str], maps: Attributions, f: Formula) -> TruthValue:
-        match f:
-            case Not(operand):
-                return kleene_not(run(tr, att, maps, operand))
-            case And(left, right):
-                return kleene_and(run(tr, att, maps, left), run(tr, att, maps, right))
-            case MetricLeq(load_name, inner, bound):
-                load = get_load(load_name)
-                try:
-                    per_load = maps[load_name]
-                except KeyError:
-                    raise MissingAttributionError(
-                        f"no {load_name!r} attribution supplied"
-                    ) from None
-                if not eval_layer1(tr, att, inner):
-                    if trace is not None:
-                        trace.append(
-                            f"metric({load_name}, ...) <= {bound:g}: FALSE because "
-                            "the attack does not satisfy the inner formula"
-                        )
-                    return TruthValue.FALSE
-                lo, hi = interval_attack_metric(load, per_load, att)
-                if hi <= bound:
-                    return TruthValue.TRUE
-                if lo <= bound:
-                    return TruthValue.MAYBE
-                if trace is not None:
-                    trace.append(
-                        f"metric({load_name}, ...) <= {bound:g}: FALSE because the "
-                        f"attack metric interval [{lo:g}, {hi:g}] exceeds the bound"
-                    )
-                return TruthValue.FALSE
-            case Assign(target, low, high, body):
-                if low > high:
-                    raise FormulaError(
-                        f"assignment to {target!r}: bounds out of order [{low:g}, {high:g}]"
-                    )
-                violation = check_assignment_target(tr, body, target)
-                if violation:
-                    raise FormulaError(violation)
-                node = tr.node(target)
-                if node.type is GateType.BAS:
-                    new_tree, new_attack = tr, att
-                else:
-                    succeeded = tr.structure_function(target, att)
-                    cone = tr.descendants(target)
-                    new_tree = _collapse(tr, target)
-                    new_attack = (att - cone) | ({target} if succeeded else frozenset())
-                new_maps = {
-                    name: {**dict(entries), target: (low, high)}
-                    for name, entries in maps.items()
-                }
-                return run(new_tree, new_attack, new_maps, body)
-        raise TypeError(f"not a layer-2 formula: {f!r}")
+    # One scope per assignment under evaluation, outermost first: the tree,
+    # attack and attributions its body sees, the body's walk (metric checks
+    # and assignments are the walk's leaves), the verdicts so far, the body,
+    # and where the body's verdict goes in the enclosing scope.
+    scopes = [_scope(tree, steps, attributions, formula, None)]
+    while True:
+        tr, att, maps, walk, verdict, body, slot = scopes[-1]
+        for f in walk:
+            match f:
+                case Not(operand):
+                    verdict[id(f)] = kleene_not(verdict[id(operand)])
+                case And(left, right):
+                    verdict[id(f)] = kleene_and(verdict[id(left)], verdict[id(right)])
+                case MetricLeq():
+                    verdict[id(f)] = _metric_verdict(tr, att, maps, f, trace)
+                case Assign():
+                    scopes.append(_scope(*_assigned(tr, att, maps, f), f.body, (verdict, id(f))))
+                    break  # resume this walk once the body has its verdict
+        else:
+            scopes.pop()
+            if slot is None:
+                return verdict[id(body)]
+            into, key = slot
+            into[key] = verdict[id(body)]
 
-    return run(tree, steps, attributions, formula)
+
+def _scope(tree: AttackTree, attack: frozenset[str], maps: Attributions, body: Formula,
+           slot: tuple[dict[int, TruthValue], int] | None):
+    walk = iter(_subformulas(body, (MetricLeq, Assign)))
+    return tree, attack, maps, walk, {}, body, slot
+
+
+def _metric_verdict(tree: AttackTree, attack: frozenset[str], maps: Attributions,
+                    check: MetricLeq, trace: list[str] | None) -> TruthValue:
+    load_name, bound = check.load, check.bound
+    load = get_load(load_name)
+    try:
+        per_load = maps[load_name]
+    except KeyError:
+        raise MissingAttributionError(f"no {load_name!r} attribution supplied") from None
+    if not eval_layer1(tree, attack, check.formula):
+        reason = "the attack does not satisfy the inner formula"
+    else:
+        lo, hi = interval_attack_metric(load, per_load, attack)
+        if hi <= bound:
+            return TruthValue.TRUE
+        if lo <= bound:
+            return TruthValue.MAYBE
+        reason = f"the attack metric interval [{lo:g}, {hi:g}] exceeds the bound"
+    if trace is not None:
+        trace.append(f"metric({load_name}, ...) <= {bound:g}: FALSE because {reason}")
+    return TruthValue.FALSE
+
+
+def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
+              assign: Assign) -> tuple[AttackTree, frozenset[str], Attributions]:
+    """Tree, attack and attributions that an assignment's body sees."""
+    target, low, high = assign.target, assign.low, assign.high
+    if low > high:
+        raise FormulaError(f"assignment to {target!r}: bounds out of order [{low:g}, {high:g}]")
+    violation = check_assignment_target(tree, assign.body, target)
+    if violation:
+        raise FormulaError(violation)
+    if tree.node(target).type is not GateType.BAS:
+        succeeded = tree.structure_function(target, attack)
+        cone = tree.descendants(target)
+        attack = (attack - cone) | ({target} if succeeded else frozenset())
+        tree = _collapse(tree, target)
+    return tree, attack, {name: {**entries, target: (low, high)} for name, entries in maps.items()}
 
 
 # -- formula metrics --------------------------------------------------------
@@ -499,43 +528,35 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
     subsets of the atoms' leaf support, which is exponential and refused
     beyond 16 support leaves.
     """
-    if layer_of(formula) != 1:
-        raise FormulaError("formula metrics apply to layer-1 formulas")
-    bind(tree, formula)
-
-    def nnf(f: Formula, positive: bool):
+    walk, cone = _layer1(tree, formula, "formula metrics apply to layer-1 formulas")
+    # True: negation-free as it stands; False: negation-free once negated;
+    # None: neither.  A Not flips it, an And needs both operands to agree.
+    sign: dict[int, bool | None] = {}
+    for f in walk:
         match f:
-            case Atom(name):
-                return ("lit", name, positive)
+            case Atom(_):
+                sign[id(f)] = True
             case Not(operand):
-                return nnf(operand, not positive)
+                sign[id(f)] = None if sign[id(operand)] is None else not sign[id(operand)]
             case And(left, right):
-                op = "and" if positive else "or"
-                return (op, nnf(left, positive), nnf(right, positive))
-        raise TypeError(f"not a layer-1 formula: {f!r}")
+                sign[id(f)] = sign[id(left)] if sign[id(left)] == sign[id(right)] else None
 
-    root = nnf(formula, True)
+    if sign[id(formula)]:
+        # Every subformula is negation-free one way: its own minimal attacks
+        # (an And crosses them) or those of its negation (an Or of negations).
+        families: dict[int, list[int]] = {}
+        for f in walk:
+            match f:
+                case Atom(name):
+                    families[id(f)] = tree.cut_masks(name)
+                case Not(operand):
+                    families[id(f)] = families[id(operand)]
+                case And(left, right):
+                    a, b = families[id(left)], families[id(right)]
+                    families[id(f)] = _cross(a, b) if sign[id(f)] else _minimize(a + b)
+        return _decode(families[id(formula)], tree.bas_order)
 
-    def all_positive(n) -> bool:
-        if n[0] == "lit":
-            return n[2]
-        return all_positive(n[1]) and all_positive(n[2])
-
-    if all_positive(root):
-
-        def compose(n) -> list[int]:
-            if n[0] == "lit":
-                return tree.cut_masks(n[1])
-            left, right = compose(n[1]), compose(n[2])
-            if n[0] == "or":
-                return _minimize(left + right)
-            return _cross(left, right)
-
-        return _decode(compose(root), tree.bas_order)
-
-    support = sorted(
-        {b for name in atoms(formula) for b in _leaf_cone(tree, name)}
-    )
+    support = sorted(n for n in cone if tree.nodes[n].type is GateType.BAS)
     if len(support) > _SUPPORT_LIMIT:
         raise FormulaError(
             f"negated formula over {len(support)} leaves: enumeration refused "
@@ -544,16 +565,9 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
     satisfying = [
         mask
         for mask in range(1 << len(support))
-        if eval_layer1(tree, {support[i] for i in range(len(support)) if mask >> i & 1}, formula)
+        if _holds(tree, walk, cone, {support[i] for i in range(len(support)) if mask >> i & 1})
     ]
     return _decode(_minimize(satisfying), support)
-
-
-def _leaf_cone(tree: AttackTree, node_id: str) -> frozenset[str]:
-    node = tree.node(node_id)
-    if node.type is GateType.BAS:
-        return frozenset({node_id})
-    return tree.descendants(node_id) & tree.bas_ids
 
 
 def formula_metric(

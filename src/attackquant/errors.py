@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one JSON reader.
 
 Each subclass corresponds to one CLI exit code, so commands can map a
 caught exception straight to a process status.
 """
 
 from __future__ import annotations
+
+import json
+from typing import IO, Any
 
 
 class AttackQuantError(Exception):
@@ -51,3 +54,16 @@ class UndefinedIndexError(AttackQuantError):
     """A campaign has no recorded usage, so its index is undefined."""
 
     exit_code = 3
+
+
+def read_json(source: str | IO[str], what: str) -> Any:
+    """JSON from a path or open text file; undecodable or too deeply nested is a ParseError."""
+    if isinstance(source, str):
+        with open(source, encoding="utf-8") as fh:
+            return read_json(fh, what)
+    try:
+        return json.load(source)
+    except ValueError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply to read") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping
 
-from .errors import InvariantError, ParseError, UnknownEntityError
+from .errors import InvariantError, ParseError, UnknownEntityError, read_json
 
 # MITRE Enterprise tactic short names in matrix order, used by the STIX
 # importer to order tactics canonically.
@@ -268,25 +268,6 @@ def used_pairs(snapshot: KnowledgeSnapshot, campaign_id: str) -> frozenset[tuple
     )
 
 
-class CampaignMatrix:
-    """Which leaf techniques one campaign used, keyed by (technique, tactic)."""
-
-    def __init__(self, snapshot: KnowledgeSnapshot, campaign_id: str):
-        self.campaign_id = campaign_id
-        self._used = used_pairs(snapshot, campaign_id)
-
-    def used(self, tech_id: str, tactic_id: str) -> bool:
-        return (tech_id, tactic_id) in self._used
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self._used)
-
-
-def campaign_matrix(snapshot: KnowledgeSnapshot, campaign_id: str) -> CampaignMatrix:
-    snapshot.campaign(campaign_id)
-    return CampaignMatrix(snapshot, campaign_id)
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -307,13 +288,7 @@ def _require(mapping: Mapping, key: str, kind: type, where: str):
 
 def load_snapshot(source: str | IO[str]) -> KnowledgeSnapshot:
     """Read a snapshot/1 JSON document from a path or open text file."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return load_snapshot(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"snapshot is not valid JSON: {exc}") from exc
+    data = read_json(source, "snapshot")
     if not isinstance(data, dict):
         raise ParseError("snapshot: top level must be an object")
     if data.get("format") != "snapshot/1":

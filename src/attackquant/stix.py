@@ -9,11 +9,10 @@ one usage pair per tactic, each flagged with a warning.
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import IO, Mapping
 
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, ParseError, read_json
 from .snapshot import (
     ENTERPRISE_TACTIC_ORDER,
     Campaign,
@@ -25,8 +24,13 @@ from .snapshot import (
 logger = logging.getLogger(__name__)
 
 
+def _listed(obj: Mapping, key: str) -> list:
+    value = obj.get(key)
+    return value if isinstance(value, list) else []
+
+
 def _mitre_id(obj: Mapping) -> str | None:
-    for ref in obj.get("external_references", ()):
+    for ref in _listed(obj, "external_references"):
         if isinstance(ref, Mapping) and ref.get("source_name") == "mitre-attack":
             ext = ref.get("external_id")
             if isinstance(ext, str):
@@ -40,7 +44,7 @@ def _dead(obj: Mapping) -> bool:
 
 def _phases(obj: Mapping) -> list[str]:
     names = []
-    for phase in obj.get("kill_chain_phases", ()):
+    for phase in _listed(obj, "kill_chain_phases"):
         if isinstance(phase, Mapping) and phase.get("kill_chain_name") in (
             "mitre-attack",
             "mitre-mobile-attack",
@@ -54,13 +58,7 @@ def _phases(obj: Mapping) -> list[str]:
 
 def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
     """Convert one STIX bundle into a canonical snapshot."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return import_stix(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bundle is not valid JSON: {exc}") from exc
+    data = read_json(source, "bundle")
     if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise ParseError("bundle: expected an object with an 'objects' list")
 
@@ -116,7 +114,8 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             elif tactic_id not in tags:
                 tags.append(tactic_id)
         techniques[ext] = Technique(ext, obj.get("name", ext), parent, tuple(tags))
-        stix_to_tech[obj["id"]] = ext
+        if isinstance(obj.get("id"), str):
+            stix_to_tech[obj["id"]] = ext
 
     for tech in techniques.values():
         if tech.parent is not None and tech.parent not in techniques:
@@ -129,8 +128,9 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
         if obj.get("type") != "campaign" or _dead(obj):
             continue
         ext = _mitre_id(obj)
-        if ext is None:
-            logger.warning("skipping campaign without external id: %s", obj.get("id"))
+        if ext is None or not isinstance(obj.get("id"), str):
+            logger.warning("skipping campaign without %s: %s",
+                           "external id" if ext is None else "string id", obj.get("id"))
             continue
         campaign_objs[obj["id"]] = (ext, obj.get("name", ext))
     if not campaign_objs:
@@ -144,7 +144,7 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             continue
         src = obj.get("source_ref")
         dst = obj.get("target_ref")
-        if src not in campaign_objs:
+        if not isinstance(src, str) or src not in campaign_objs:
             continue
         if not isinstance(dst, str) or dst not in by_stix_id:
             raise InvariantError(

@@ -9,7 +9,6 @@ the same campaign data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UndefinedIndexError
@@ -24,12 +23,6 @@ class Difficulty(Enum):
     EASY = "easy"
     DEFAULT = "default"
     HARD = "hard"
-
-
-@dataclass(frozen=True)
-class TemplateTree:
-    tree: AttackTree
-    difficulty: Difficulty
 
 
 def leaf_node_id(tech_id: str, tactic_id: str) -> str:
@@ -52,7 +45,7 @@ def _tactic_children(snapshot: KnowledgeSnapshot) -> dict[str, list[str]]:
     return {tactic_id: sorted(ids) for tactic_id, ids in parents.items()}
 
 
-def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> TemplateTree:
+def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> AttackTree:
     """Template over every tactic and technique in the snapshot.
 
     Gate types by difficulty: HARD is all-AND below the root, EASY is
@@ -98,7 +91,7 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Templ
                 )
         nodes.append(Node(tactic.id, tactic_gate, tuple(tech_nodes), tactic.name, tactic.id))
     nodes.append(Node(ROOT_ID, GateType.SAND, tuple(tactic_ids), "Campaign"))
-    return TemplateTree(AttackTree(nodes, ROOT_ID), difficulty)
+    return AttackTree(nodes, ROOT_ID)
 
 
 def campaign_index(
@@ -106,7 +99,7 @@ def campaign_index(
     campaign_id: str,
     difficulty: Difficulty = Difficulty.DEFAULT,
     probs: ProbMatrix | None = None,
-    template: TemplateTree | None = None,
+    template: AttackTree | None = None,
 ) -> float:
     """Security index of one campaign on the difficulty's template.
 
@@ -122,9 +115,7 @@ def campaign_index(
     snapshot.campaign(campaign_id)
     if probs is None:
         probs = likelihoods(snapshot)
-    if template is None:
-        template = build_template(snapshot, difficulty)
-    tree = template.tree
+    tree = build_template(snapshot, difficulty) if template is None else template
     nodes = tree.nodes
     parents = tree.parents
     # Mark every node above a used leaf; the rest of the template is absent.
@@ -201,7 +192,7 @@ def instantiate(
     template = build_template(snapshot, difficulty)
     used = used_pairs(snapshot, campaign_id)
     live = {leaf_node_id(tech, tactic) for tech, tactic in used}
-    pruned = template.tree.prune(live)
+    pruned = template.prune(live)
     attribution = {
         leaf_node_id(tech, tactic): probs.prob_float(tech, tactic)
         for tech, tactic in used

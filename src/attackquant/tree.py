@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InvariantError, UnknownEntityError
 
@@ -46,10 +46,15 @@ Attack = frozenset[str]
 
 def _minimize(families: Iterable[int]) -> list[int]:
     """Keep only subset-minimal bitmasks (antichain under inclusion)."""
-    ordered = sorted(set(families), key=lambda m: (bin(m).count("1"), m))
+    ordered = sorted(set(families), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    # Only a kept mask of fewer bits can subsume a mask: one of equal count
+    # would be a duplicate, and the set removed those.  kept[:fewer] are those.
+    bits, fewer = -1, 0
     for mask in ordered:
-        if not any(k & mask == k for k in kept):
+        if mask.bit_count() != bits:
+            bits, fewer = mask.bit_count(), len(kept)
+        if not any(k & mask == k for k in kept[:fewer]):
             kept.append(mask)
     return kept
 
@@ -89,6 +94,7 @@ class AttackTree:
         self._parents: dict[str, tuple[str, ...]] | None = None
         self._cut_bits: dict[str, list[int]] = {}
         self._bas_order: tuple[str, ...] | None = None
+        self._postorders: dict[str, tuple[str, ...]] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -193,41 +199,52 @@ class AttackTree:
                 raise InvariantError(f"attack step {step!r} is not a BAS")
         return steps
 
+    def _postorder(self, node_id: str) -> tuple[str, ...]:
+        """The node's cone, children first in child order, each node once; cached.
+
+        Iterative, so depth is unbounded.  Callers check the tree is valid.
+        """
+        order = self._postorders.get(node_id)
+        if order is None:
+            out: list[str] = []
+            seen: set[str] = set()
+            stack = [(node_id, False)]
+            while stack:
+                nid, done = stack.pop()
+                if done:
+                    out.append(nid)
+                elif nid not in seen:
+                    seen.add(nid)
+                    stack.append((nid, True))
+                    stack.extend((c, False) for c in reversed(self._nodes[nid].children))
+            order = self._postorders[node_id] = tuple(out)
+        return order
+
+    def _truth(self, order: Iterable[str], steps: AbstractSet[str]) -> dict[str, bool]:
+        """Structure function of every node of a postorder, without checks."""
+        truth: dict[str, bool] = {}
+        for nid in order:
+            node = self._nodes[nid]
+            if node.type is GateType.BAS:
+                truth[nid] = nid in steps
+            elif node.type is GateType.OR:
+                truth[nid] = any(truth[c] for c in node.children)
+            else:
+                truth[nid] = all(truth[c] for c in node.children)
+        return truth
+
     def structure_function(self, node_id: str, attack: Iterable[str]) -> bool:
         """Whether the given set of succeeded BASes compromises ``node_id``."""
         self.require_valid()
         self.node(node_id)
         steps = self._as_attack(attack)
-        memo: dict[str, bool] = {}
-
-        def f(nid: str) -> bool:
-            if nid in memo:
-                return memo[nid]
-            node = self._nodes[nid]
-            if node.type is GateType.BAS:
-                result = nid in steps
-            elif node.type is GateType.OR:
-                result = any(f(c) for c in node.children)
-            else:
-                result = all(f(c) for c in node.children)
-            memo[nid] = result
-            return result
-
-        return f(node_id)
+        return self._truth(self._postorder(node_id), steps)[node_id]
 
     def descendants(self, node_id: str) -> frozenset[str]:
         """Strict descendants of a node (the node itself excluded)."""
         self.require_valid()
         self.node(node_id)
-        seen: set[str] = set()
-        stack = list(self._nodes[node_id].children)
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.extend(self._nodes[nid].children)
-        return frozenset(seen)
+        return frozenset(self._postorder(node_id)[:-1])
 
     @property
     def bas_order(self) -> tuple[str, ...]:
@@ -247,24 +264,21 @@ class AttackTree:
         self.require_valid()
         self.node(node_id)
         bit = {b: 1 << i for i, b in enumerate(self.bas_order)}
-
-        def cuts(nid: str) -> list[int]:
-            cached = self._cut_bits.get(nid)
-            if cached is not None:
-                return cached
+        cache = self._cut_bits
+        for nid in self._postorder(node_id):
+            if nid in cache:
+                continue
             node = self._nodes[nid]
             if node.type is GateType.BAS:
                 result = [bit[nid]]
             elif node.type is GateType.OR:
-                result = _minimize(m for child in node.children for m in cuts(child))
+                result = _minimize(m for child in node.children for m in cache[child])
             else:
                 result = [0]
                 for child in node.children:
-                    result = _cross(result, cuts(child))
-            self._cut_bits[nid] = result
-            return result
-
-        return cuts(node_id)
+                    result = _cross(result, cache[child])
+            cache[nid] = result
+        return cache[node_id]
 
     def minimal_attacks(self, node_id: str | None = None) -> frozenset[Attack]:
         """Subset-minimal attacks compromising the node (default: root)."""
@@ -293,30 +307,24 @@ class AttackTree:
                 raise UnknownEntityError(f"unknown leaf {step!r}")
             if step not in bas:
                 raise InvariantError(f"cannot keep {step!r}: not a BAS")
-        memo: dict[str, bool] = {}
-
-        def kept(nid: str) -> bool:
-            if nid in memo:
-                return memo[nid]
+        kept: dict[str, bool] = {}
+        for nid in self._postorder(self.root):
             node = self._nodes[nid]
             if node.type is GateType.BAS:
-                result = nid in live_set
+                kept[nid] = nid in live_set
             else:
-                result = any(kept(c) for c in node.children)
-            memo[nid] = result
-            return result
-
-        if not kept(self.root):
+                kept[nid] = any(kept[c] for c in node.children)
+        if not kept[self.root]:
             raise InvariantError("empty campaign: pruning would remove the root")
         # Every kept node stays connected: its ancestors are kept too.
         new_nodes = []
         for node in self._nodes.values():
-            if not kept(node.id):
+            if not kept[node.id]:
                 continue
             if node.type is GateType.BAS:
                 new_nodes.append(node)
             else:
-                children = tuple(c for c in node.children if kept(c))
+                children = tuple(c for c in node.children if kept[c])
                 new_nodes.append(
                     Node(node.id, node.type, children, node.label, node.tactic, node.technique)
                 )

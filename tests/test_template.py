@@ -46,10 +46,8 @@ def layered():
 
 def test_root_is_sand_at_every_difficulty(layered):
     for diff in Difficulty:
-        tpl = build_template(layered, diff)
-        root = tpl.tree.node(ROOT_ID)
+        root = build_template(layered, diff).node(ROOT_ID)
         assert root.type is GateType.SAND
-        assert tpl.difficulty is diff
 
 
 @pytest.mark.parametrize(
@@ -61,21 +59,21 @@ def test_root_is_sand_at_every_difficulty(layered):
     ],
 )
 def test_tactic_gate_by_difficulty(layered, diff, tactic_gate):
-    tree = build_template(layered, diff).tree
+    tree = build_template(layered, diff)
     assert tree.node("A").type is tactic_gate
     assert tree.node("B").type is tactic_gate
 
 
 def test_technique_gate_or_except_hard(layered):
     for diff in (Difficulty.EASY, Difficulty.DEFAULT):
-        tree = build_template(layered, diff).tree
+        tree = build_template(layered, diff)
         assert tree.node("P@A").type is GateType.OR
-    hard = build_template(layered, Difficulty.HARD).tree
+    hard = build_template(layered, Difficulty.HARD)
     assert hard.node("P@A").type is GateType.AND
 
 
 def test_template_leaves_and_ids(layered):
-    tree = build_template(layered, Difficulty.DEFAULT).tree
+    tree = build_template(layered, Difficulty.DEFAULT)
     assert tree.node(leaf_node_id("P.1", "A")).type is GateType.BAS
     assert tree.node("Q@A").type is GateType.BAS
     assert tree.node("Q@B").type is GateType.BAS
@@ -91,7 +89,7 @@ def test_tactics_without_techniques_are_omitted():
         {},
         {"C": [("A", "P")]},
     )
-    tree = build_template(snap, Difficulty.DEFAULT).tree
+    tree = build_template(snap, Difficulty.DEFAULT)
     assert "Z" not in tree.nodes
     assert set(tree.node(ROOT_ID).children) == {"A"}
 
@@ -107,7 +105,7 @@ def test_parent_joins_a_tactic_through_a_subtechnique_tag():
         ],
         [Campaign("C", "C", frozenset({("B", "P.1")}))],
     )
-    tree = build_template(snap, Difficulty.DEFAULT).tree
+    tree = build_template(snap, Difficulty.DEFAULT)
     assert tree.node("B").children == ("P@B",)
     assert tree.node("P@B").children == ("P.1@B", "P.2@B")
     assert instantiate(snap, "C")[1] == {"P.1@B": 1.0}
@@ -315,7 +313,7 @@ def test_used_pairs_normalizes(miniature):
 
 
 def test_template_is_deterministic(layered):
-    one = build_template(layered, Difficulty.DEFAULT).tree
-    two = build_template(layered, Difficulty.DEFAULT).tree
+    one = build_template(layered, Difficulty.DEFAULT)
+    two = build_template(layered, Difficulty.DEFAULT)
     assert list(one.nodes) == list(two.nodes)
     assert all(one.node(n).children == two.node(n).children for n in one.nodes)
