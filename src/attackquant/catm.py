@@ -48,10 +48,6 @@ class TruthValue(Enum):
     MAYBE = 0.5
     FALSE = 0.0
 
-    @classmethod
-    def of(cls, flag: bool) -> "TruthValue":
-        return cls.TRUE if flag else cls.FALSE
-
 
 def kleene_not(a: TruthValue) -> TruthValue:
     return TruthValue(1.0 - a.value)
@@ -349,25 +345,23 @@ def bind(tree: AttackTree, formula: Formula) -> None:
 # -- layer 1 ----------------------------------------------------------------
 
 
-def _layer1(tree: AttackTree, formula: Formula, refusal: str) -> tuple[list[Formula], list[str]]:
-    """A layer-1 query's checks, run once; the formula's walk and its atoms' cone postorder."""
+def _layer1(tree: AttackTree, formula: Formula, refusal: str) -> list[Formula]:
+    """A layer-1 query's checks, run once; the formula's walk."""
     if layer_of(formula) != 1:
         raise FormulaError(refusal)
     bind(tree, formula)
     tree.require_valid()
-    walk = _subformulas(formula)
-    names = dict.fromkeys(f.name for f in walk if isinstance(f, Atom))
-    return walk, list(dict.fromkeys(n for name in names for n in tree._postorder(name)))
+    return _subformulas(formula)
 
 
-def _holds(tree: AttackTree, walk: list[Formula], cone: list[str], steps: AbstractSet[str]) -> bool:
+def _holds(tree: AttackTree, walk: list[Formula], steps: AbstractSet[str]) -> bool:
     """Layer-1 verdict for one attack, without the checks :func:`_layer1` has run."""
-    truth = tree._truth(cone, steps)
+    truth: dict[str, bool] = {}  # one memo of gate verdicts for every atom
     value: dict[int, bool] = {}
     for f in walk:
         match f:
             case Atom(name):
-                value[id(f)] = truth[name]
+                value[id(f)] = tree.fold(name, lambda n: n.id in steps, any, all, values=truth)
             case Not(operand):
                 value[id(f)] = not value[id(operand)]
             case And(left, right):
@@ -377,8 +371,8 @@ def _holds(tree: AttackTree, walk: list[Formula], cone: list[str], steps: Abstra
 
 def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bool:
     """Judge a Boolean formula against one attack via the structure function."""
-    walk, cone = _layer1(tree, formula, "layer-2 constructs cannot be evaluated as layer 1")
-    return _holds(tree, walk, cone, tree._as_attack(attack))
+    walk = _layer1(tree, formula, "layer-2 constructs cannot be evaluated as layer 1")
+    return _holds(tree, walk, tree._as_attack(attack))
 
 
 # -- layer 2 ----------------------------------------------------------------
@@ -528,7 +522,7 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
     subsets of the atoms' leaf support, which is exponential and refused
     beyond 16 support leaves.
     """
-    walk, cone = _layer1(tree, formula, "formula metrics apply to layer-1 formulas")
+    walk = _layer1(tree, formula, "formula metrics apply to layer-1 formulas")
     # True: negation-free as it stands; False: negation-free once negated;
     # None: neither.  A Not flips it, an And needs both operands to agree.
     sign: dict[int, bool | None] = {}
@@ -556,6 +550,7 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
                     families[id(f)] = _cross(a, b) if sign[id(f)] else _minimize(a + b)
         return _decode(families[id(formula)], tree.bas_order)
 
+    cone = tree.below(f.name for f in walk if isinstance(f, Atom))
     support = sorted(n for n in cone if tree.nodes[n].type is GateType.BAS)
     if len(support) > _SUPPORT_LIMIT:
         raise FormulaError(
@@ -565,7 +560,7 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
     satisfying = [
         mask
         for mask in range(1 << len(support))
-        if _holds(tree, walk, cone, {support[i] for i in range(len(support)) if mask >> i & 1})
+        if _holds(tree, walk, {support[i] for i in range(len(support)) if mask >> i & 1})
     ]
     return _decode(_minimize(satisfying), support)
 

@@ -8,11 +8,12 @@ unit_nabla delta x = unit_nabla and unit_delta delta x = x.  Those laws
 are what make the bottom-up tree pass agree with the definition over
 minimal attacks on tree-structured trees.
 
-Two folds compute every metric: :func:`fold`, the bottom-up pass over a
-tree-structured cone (also the campaign security index, with unused
-subtrees absent), and :func:`cuts_metric`, nabla over a family of
-attacks (minimal attacks or minimal satisfying sets).  Interval
-attributions call either once per endpoint.
+Two folds compute every metric: :meth:`AttackTree.fold` with nabla at OR
+and delta at AND/SAND, the bottom-up pass over a tree-structured cone
+(also the campaign security index, with unused subtrees absent), and
+:func:`cuts_metric`, nabla over a family of attacks (minimal attacks or
+minimal satisfying sets).  Interval attributions call either once per
+endpoint.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import InvariantError, MissingAttributionError, UnknownEntityError
-from .tree import AttackTree, GateType, Node
+from .tree import AttackTree
 
 Interval = tuple[float, float]
 
@@ -98,47 +99,6 @@ def cuts_metric(load: Load, attr: Mapping[str, float], cuts: Iterable[Collection
     )
 
 
-def fold(
-    tree: AttackTree,
-    load: Load,
-    leaf_value: Callable[[Node], float],
-    target: str,
-    live: Collection[str] | None = None,
-) -> float:
-    """Bottom-up pass over the cone of ``target``: nabla at OR, delta at AND/SAND.
-
-    Leaves give ``leaf_value(node)``.  Children outside ``live``, when
-    given, are absent, which is pruning without building a pruned tree.
-    Sound only on tree-structured cones.  Iterative, so depth is
-    unbounded; each gate is visited once, children in child order.
-    """
-    nodes = tree.nodes
-    bas, or_ = GateType.BAS, GateType.OR
-
-    def gate_frame(gate: Node) -> tuple[Node, Iterator[str], list[float]]:
-        children = gate.children if live is None else [c for c in gate.children if c in live]
-        return gate, iter(children), []
-
-    top = nodes[target]
-    if top.type is bas:
-        return leaf_value(top)
-    frames = [gate_frame(top)]
-    while True:
-        gate, children, values = frames[-1]
-        for child in children:
-            node = nodes[child]
-            if node.type is not bas:
-                frames.append(gate_frame(node))  # resume this gate's children later
-                break
-            values.append(leaf_value(node))
-        else:
-            frames.pop()
-            value = load.fold_nabla(values) if gate.type is or_ else load.fold_delta(values)
-            if not frames:
-                return value
-            frames[-1][2].append(value)
-
-
 def tree_metric(
     load: Load,
     attr: Mapping[str, float],
@@ -151,7 +111,7 @@ def tree_metric(
     ``method`` selects the computation: "definitional" applies
     :func:`cuts_metric` to the enumerated minimal attacks (always
     correct, exponential worst case), "bottom-up" is the linear-time
-    :func:`fold`, which is only sound on tree-structured trees, "auto"
+    :meth:`AttackTree.fold`, which is only sound on tree-structured trees, "auto"
     picks bottom-up exactly when the tree is tree-structured.
     """
     tree.require_valid()
@@ -165,7 +125,9 @@ def tree_metric(
         raise ValueError(f"unknown method {method!r}")
     if not tree.is_tree_structured:
         raise InvariantError("bottom-up pass is unsound on DAG-structured trees")
-    return fold(tree, load, lambda node: _value(attr, node.id, load), target)
+    return tree.fold(
+        target, lambda node: _value(attr, node.id, load), load.fold_nabla, load.fold_delta
+    )
 
 
 def _split(iattr: Mapping[str, Interval]) -> tuple[dict[str, float], dict[str, float]]:

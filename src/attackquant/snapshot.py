@@ -244,14 +244,12 @@ class ProbMatrix:
 
     def entries(self) -> list[tuple[str, str, Fraction]]:
         """Non-zero (technique, tactic, probability) rows, deterministic order."""
-        rows: list[tuple[str, str, Fraction]] = []
-        for tactic in self._snapshot.tactics:
-            total = self._totals[tactic.id]
-            if total == 0:
-                continue
-            for tech_id in sorted(self._counts[tactic.id]):
-                rows.append((tech_id, tactic.id, Fraction(self._counts[tactic.id][tech_id], total)))
-        return rows
+        return [
+            (tech_id, tactic.id, self.prob(tech_id, tactic.id))
+            for tactic in self._snapshot.tactics
+            if self._totals[tactic.id]
+            for tech_id in sorted(self._counts[tactic.id])
+        ]
 
 
 def likelihoods(snapshot: KnowledgeSnapshot) -> ProbMatrix:

@@ -42,6 +42,15 @@ def _dead(obj: Mapping) -> bool:
     return bool(obj.get("x_mitre_deprecated")) or bool(obj.get("revoked"))
 
 
+def _name(obj: Mapping, ext: str) -> str:
+    """The object's name; the external id when it has none or a non-string one."""
+    name = obj.get("name", ext)
+    if isinstance(name, str):
+        return name
+    logger.warning("%s %s: name is not a string; using the external id", obj.get("type"), ext)
+    return ext
+
+
 def _phases(obj: Mapping) -> list[str]:
     names = []
     for phase in _listed(obj, "kill_chain_phases"):
@@ -85,7 +94,7 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             logger.warning("skipping tactic without external id/shortname: %s", obj.get("id"))
             continue
         shortname_to_id[short] = ext
-        tactic_objs.append((short, ext, obj.get("name", ext)))
+        tactic_objs.append((short, ext, _name(obj, ext)))
 
     def tactic_rank(entry: tuple[str, str, str]):
         short, ext, _ = entry
@@ -113,7 +122,7 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
                 logger.warning("technique %s: unknown tactic shortname %r", ext, short)
             elif tactic_id not in tags:
                 tags.append(tactic_id)
-        techniques[ext] = Technique(ext, obj.get("name", ext), parent, tuple(tags))
+        techniques[ext] = Technique(ext, _name(obj, ext), parent, tuple(tags))
         if isinstance(obj.get("id"), str):
             stix_to_tech[obj["id"]] = ext
 
@@ -132,7 +141,7 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             logger.warning("skipping campaign without %s: %s",
                            "external id" if ext is None else "string id", obj.get("id"))
             continue
-        campaign_objs[obj["id"]] = (ext, obj.get("name", ext))
+        campaign_objs[obj["id"]] = (ext, _name(obj, ext))
     if not campaign_objs:
         raise InvariantError("bundle contains no campaign objects")
 

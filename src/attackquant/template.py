@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import UndefinedIndexError
-from .metrics import SECURITY_INDEX, fold, neg_log
+from .metrics import SECURITY_INDEX, neg_log
 from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods, used_pairs
 from .tree import AttackTree, GateType, Node
 
@@ -108,37 +108,32 @@ def campaign_index(
     parent's neutral element), OR takes the minimum of the present child
     values, AND/SAND their sum.  Equals pruning the template to the used
     leaves and evaluating the security index there: it is the same
-    :func:`~attackquant.metrics.fold`, restricted to the cone above the
-    used leaves, so the cost follows the campaign's usage, not the
-    template's size.
+    :meth:`~attackquant.tree.AttackTree.fold`, restricted to the cone
+    above the used leaves, so the cost follows the campaign's usage, not
+    the template's size.
     """
     snapshot.campaign(campaign_id)
     if probs is None:
         probs = likelihoods(snapshot)
     tree = build_template(snapshot, difficulty) if template is None else template
     nodes = tree.nodes
-    parents = tree.parents
-    # Mark every node above a used leaf; the rest of the template is absent.
-    live: set[str] = set()
+    used = []
     for tech, tactic in used_pairs(snapshot, campaign_id):
         nid = leaf_node_id(tech, tactic)
         node = nodes.get(nid)
         if node is None or (node.type, node.technique, node.tactic) != (GateType.BAS, tech, tactic):
             continue
-        stack = [nid]
-        while stack:
-            nid = stack.pop()
-            if nid not in live:
-                live.add(nid)
-                stack.extend(parents[nid])
+        used.append(nid)
+    # Only the nodes above a used leaf are live; the rest of the template is absent.
+    live = tree.above(used)
     if tree.root not in live:
         raise UndefinedIndexError(
             f"campaign {campaign_id!r} has no recorded usage; index undefined"
         )
-    return fold(
-        tree, SECURITY_INDEX,
+    return tree.fold(
+        tree.root,
         lambda node: neg_log(probs.prob_float(node.technique, node.tactic)),
-        tree.root, live,
+        SECURITY_INDEX.fold_nabla, SECURITY_INDEX.fold_delta, live,
     )
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvariantError, UnknownEntityError
 
@@ -42,6 +43,8 @@ class Node:
 
 # An attack is a set of BAS ids.
 Attack = frozenset[str]
+
+V = TypeVar("V")
 
 
 def _minimize(families: Iterable[int]) -> list[int]:
@@ -94,7 +97,6 @@ class AttackTree:
         self._parents: dict[str, tuple[str, ...]] | None = None
         self._cut_bits: dict[str, list[int]] = {}
         self._bas_order: tuple[str, ...] | None = None
-        self._postorders: dict[str, tuple[str, ...]] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -199,52 +201,80 @@ class AttackTree:
                 raise InvariantError(f"attack step {step!r} is not a BAS")
         return steps
 
-    def _postorder(self, node_id: str) -> tuple[str, ...]:
-        """The node's cone, children first in child order, each node once; cached.
+    def fold(
+        self,
+        target: str,
+        leaf: Callable[[Node], V],
+        or_: Callable[[list[V]], V],
+        and_: Callable[[list[V]], V],
+        live: Container[str] | None = None,
+        values: dict[str, V] | None = None,
+    ) -> V:
+        """Bottom-up pass over the cone of ``target``: ``or_`` at OR, ``and_`` at AND/SAND.
 
-        Iterative, so depth is unbounded.  Callers check the tree is valid.
+        A leaf gives ``leaf(node)``; a gate gives ``or_`` or ``and_`` of the
+        list of its children's values, in child order.  Children outside
+        ``live``, when given, are absent, which is pruning without building
+        a pruned tree.  Gate values are memoised in ``values``, filled in
+        place, so a gate shared in a DAG is evaluated once and callers can
+        share one memo across calls.  Iterative, so depth is unbounded.
+        Callers check the tree is valid.
         """
-        order = self._postorders.get(node_id)
-        if order is None:
-            out: list[str] = []
-            seen: set[str] = set()
-            stack = [(node_id, False)]
-            while stack:
-                nid, done = stack.pop()
-                if done:
-                    out.append(nid)
-                elif nid not in seen:
-                    seen.add(nid)
-                    stack.append((nid, True))
-                    stack.extend((c, False) for c in reversed(self._nodes[nid].children))
-            order = self._postorders[node_id] = tuple(out)
-        return order
-
-    def _truth(self, order: Iterable[str], steps: AbstractSet[str]) -> dict[str, bool]:
-        """Structure function of every node of a postorder, without checks."""
-        truth: dict[str, bool] = {}
-        for nid in order:
-            node = self._nodes[nid]
-            if node.type is GateType.BAS:
-                truth[nid] = nid in steps
-            elif node.type is GateType.OR:
-                truth[nid] = any(truth[c] for c in node.children)
+        nodes, bas, or_type = self._nodes, GateType.BAS, GateType.OR
+        memo: dict[str, V] = {} if values is None else values
+        # The bottom frame has no gate; its one child is the target.
+        frames: list[tuple[Node | None, Iterator[str], list[V]]]
+        frames = [(None, iter((target,)), [])]
+        while True:
+            gate, children, acc = frames[-1]
+            for child in children:
+                node = nodes[child]
+                if node.type is bas:
+                    acc.append(leaf(node))
+                elif child in memo:
+                    acc.append(memo[child])
+                else:
+                    kept = (node.children if live is None
+                            else [c for c in node.children if c in live])
+                    frames.append((node, iter(kept), []))  # resume this gate's children later
+                    break
             else:
-                truth[nid] = all(truth[c] for c in node.children)
-        return truth
+                frames.pop()
+                if gate is None:
+                    return acc[0]
+                value = memo[gate.id] = (or_ if gate.type is or_type else and_)(acc)
+                frames[-1][2].append(value)
+
+    def _reach(self, start: Iterable[str], step: Callable[[str], Iterable[str]]) -> set[str]:
+        """Every node reachable from ``start`` through ``step``, ``start`` included."""
+        seen: set[str] = set()
+        stack = [self.node(nid).id for nid in start]
+        while stack:
+            nid = stack.pop()
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(step(nid))
+        return seen
+
+    def above(self, nodes: Iterable[str]) -> set[str]:
+        """The given nodes and all their ancestors."""
+        return self._reach(nodes, self.parents.__getitem__)
+
+    def below(self, nodes: Iterable[str]) -> set[str]:
+        """The given nodes and all their descendants."""
+        return self._reach(nodes, lambda nid: self._nodes[nid].children)
 
     def structure_function(self, node_id: str, attack: Iterable[str]) -> bool:
         """Whether the given set of succeeded BASes compromises ``node_id``."""
         self.require_valid()
         self.node(node_id)
         steps = self._as_attack(attack)
-        return self._truth(self._postorder(node_id), steps)[node_id]
+        return self.fold(node_id, lambda node: node.id in steps, any, all)
 
     def descendants(self, node_id: str) -> frozenset[str]:
         """Strict descendants of a node (the node itself excluded)."""
         self.require_valid()
-        self.node(node_id)
-        return frozenset(self._postorder(node_id)[:-1])
+        return frozenset(self.below([node_id]) - {node_id})
 
     @property
     def bas_order(self) -> tuple[str, ...]:
@@ -264,21 +294,13 @@ class AttackTree:
         self.require_valid()
         self.node(node_id)
         bit = {b: 1 << i for i, b in enumerate(self.bas_order)}
-        cache = self._cut_bits
-        for nid in self._postorder(node_id):
-            if nid in cache:
-                continue
-            node = self._nodes[nid]
-            if node.type is GateType.BAS:
-                result = [bit[nid]]
-            elif node.type is GateType.OR:
-                result = _minimize(m for child in node.children for m in cache[child])
-            else:
-                result = [0]
-                for child in node.children:
-                    result = _cross(result, cache[child])
-            cache[nid] = result
-        return cache[node_id]
+        return self.fold(
+            node_id,
+            lambda node: [bit[node.id]],
+            lambda families: _minimize(m for family in families for m in family),
+            lambda families: reduce(_cross, families, [0]),
+            values=self._cut_bits,
+        )
 
     def minimal_attacks(self, node_id: str | None = None) -> frozenset[Attack]:
         """Subset-minimal attacks compromising the node (default: root)."""
@@ -307,24 +329,18 @@ class AttackTree:
                 raise UnknownEntityError(f"unknown leaf {step!r}")
             if step not in bas:
                 raise InvariantError(f"cannot keep {step!r}: not a BAS")
-        kept: dict[str, bool] = {}
-        for nid in self._postorder(self.root):
-            node = self._nodes[nid]
-            if node.type is GateType.BAS:
-                kept[nid] = nid in live_set
-            else:
-                kept[nid] = any(kept[c] for c in node.children)
-        if not kept[self.root]:
+        kept = self.above(live_set)
+        if self.root not in kept:
             raise InvariantError("empty campaign: pruning would remove the root")
         # Every kept node stays connected: its ancestors are kept too.
         new_nodes = []
         for node in self._nodes.values():
-            if not kept[node.id]:
+            if node.id not in kept:
                 continue
             if node.type is GateType.BAS:
                 new_nodes.append(node)
             else:
-                children = tuple(c for c in node.children if kept[c])
+                children = tuple(c for c in node.children if c in kept)
                 new_nodes.append(
                     Node(node.id, node.type, children, node.label, node.tactic, node.technique)
                 )

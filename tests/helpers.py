@@ -62,6 +62,15 @@ def random_tree(rng: random.Random, max_leaves: int = 10, dag: bool = False) -> 
     return tree
 
 
+def holds(tree: AttackTree, node_id: str, attack) -> bool:
+    """The structure function by its definition, read off ``tree.nodes`` alone."""
+    node = tree.nodes[node_id]
+    if node.type is BAS:
+        return node_id in attack
+    children = [holds(tree, child, attack) for child in node.children]
+    return any(children) if node.type is OR else all(children)
+
+
 def brute_minimal_attacks(tree: AttackTree) -> frozenset[frozenset[str]]:
     """Subset filtering over the whole powerset of leaves."""
     leaves = sorted(tree.bas_ids)
@@ -69,7 +78,7 @@ def brute_minimal_attacks(tree: AttackTree) -> frozenset[frozenset[str]]:
         frozenset(combo)
         for r in range(len(leaves) + 1)
         for combo in itertools.combinations(leaves, r)
-        if tree.structure_function(tree.root, combo)
+        if holds(tree, tree.root, combo)
     ]
     return frozenset(
         a for a in successful if not any(b < a for b in successful)
@@ -83,7 +92,7 @@ def brute_metric_all_successful(load: Load, attr: dict[str, float], tree: Attack
         load.fold_delta(attr[s] for s in combo)
         for r in range(len(leaves) + 1)
         for combo in itertools.combinations(leaves, r)
-        if tree.structure_function(tree.root, combo)
+        if holds(tree, tree.root, combo)
     )
 
 

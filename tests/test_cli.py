@@ -56,6 +56,32 @@ def test_ingest_requires_campaigns(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_ingest_non_string_names_fall_back_to_ids(runner, fixtures, tmp_path, caplog):
+    data = json.loads((fixtures / "mini-bundle.json").read_text())
+    renamed = {}  # the first tactic, technique and campaign, by type
+    for obj in data["objects"]:
+        kind = obj["type"]
+        if kind in ("x-mitre-tactic", "attack-pattern", "campaign") and kind not in renamed:
+            obj["name"] = None if kind == "campaign" else 5
+            renamed[kind] = obj["external_references"][0]["external_id"]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(data))
+    snap = tmp_path / "snap.json"
+    result = invoke(runner, "ingest", bundle, "--out", snap)
+    assert result.exit_code == 0, result.output
+    assert caplog.text.count("name is not a string; using the external id") == 3
+    written = json.loads(snap.read_text())
+    names = {
+        entry["id"]: entry["name"]
+        for key in ("tactics", "techniques", "campaigns")
+        for entry in written[key]
+    }
+    assert all(names[ext] == ext for ext in renamed.values())
+    out = tmp_path / "t.at.json"
+    result = invoke(runner, "template", renamed["campaign"], "--snapshot", snap, "--out", out)
+    assert result.exit_code == 0, result.output
+
+
 # -- template -----------------------------------------------------------------
 
 

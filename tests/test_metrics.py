@@ -227,6 +227,45 @@ def test_attribution_domain_checked():
         tree_metric(MIN_COST, {"CVE1": -1.0, "CVE2": 1.0, "GVC": 1.0, "CVP": 1.0}, tree)
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [(None, MissingAttributionError), (-1.0, InvariantError)],
+    ids=["missing", "out-of-domain"],
+)
+def test_bottom_up_names_the_first_bad_leaf_in_child_order(bad, error):
+    # Child order visits z, y, b, a: y comes before a there, but not by id
+    # nor in the order the nodes are listed.
+    tree = AttackTree(
+        [
+            Node("a", BAS, ()),
+            Node("root", AND, ("z", "g", "a")),
+            Node("g", OR, ("y", "b")),
+            Node("b", BAS, ()),
+            Node("y", BAS, ()),
+            Node("z", BAS, ()),
+        ],
+        "root",
+    )
+    costs = {"z": 1.0, "b": 2.0}
+    if bad is not None:
+        costs.update(a=bad, y=bad)
+    with pytest.raises(error, match="leaf 'y'"):
+        tree_metric(MIN_COST, costs, tree, method="bottom-up")
+
+
+def test_fold_over_the_live_cone_equals_the_metric_of_the_pruned_tree():
+    rng = random.Random(4711)
+    for _ in range(80):
+        tree = random_tree(rng, max_leaves=10)
+        beta = random_attribution(rng, tree, SECURITY_INDEX)
+        leaves = rng.sample(sorted(tree.bas_ids), rng.randint(1, len(tree.bas_ids)))
+        folded = tree.fold(
+            tree.root, lambda node: beta[node.id],
+            SECURITY_INDEX.fold_nabla, SECURITY_INDEX.fold_delta, tree.above(leaves),
+        )
+        assert folded == tree_metric(SECURITY_INDEX, beta, tree.prune(leaves))
+
+
 def test_empty_attack_folds_to_delta_unit():
     assert attack_metric(MIN_COST, {}, set()) == 0.0
     assert attack_metric(MAX_PROB, {}, set()) == 1.0

@@ -30,6 +30,7 @@ from attackquant import (
     minimal_satisfying_sets,
     parse,
     read_at,
+    save_snapshot,
 )
 from attackquant.catm import Formula, layer_of
 from attackquant.cli import main
@@ -261,6 +262,13 @@ def _text(doc) -> str:
 def test_reader_fuzz(reader, fixture, data):
     doc = _mutate(data, _fixture(fixture)) if data.draw(st.booleans()) else data.draw(JSON)
     try:
-        reader(io.StringIO(_text(doc)))
+        result = reader(io.StringIO(_text(doc)))
     except AttackQuantError:
-        pass
+        return
+    if reader is import_stix:
+        # an ingested snapshot must load back and save to the same bytes
+        saved = io.StringIO()
+        save_snapshot(result, saved)
+        again = io.StringIO()
+        save_snapshot(load_snapshot(io.StringIO(saved.getvalue())), again)
+        assert again.getvalue() == saved.getvalue()

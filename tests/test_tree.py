@@ -9,7 +9,9 @@ from attackquant import (
     Node,
     UnknownEntityError,
 )
-from helpers import AND, BAS, OR, SAND, brute_minimal_attacks, wocao_entry_tree, random_tree
+from helpers import (
+    AND, BAS, OR, SAND, brute_minimal_attacks, holds, wocao_entry_tree, random_tree,
+)
 
 
 def test_wocao_entry_minimal_attacks():
@@ -112,6 +114,59 @@ def test_minimal_attacks_matches_brute_force():
     for i in range(60):
         tree = random_tree(rng, max_leaves=8, dag=i % 2 == 1)
         assert tree.minimal_attacks() == brute_minimal_attacks(tree), tree.nodes
+
+
+def test_structure_function_matches_the_definition_on_every_node():
+    rng = random.Random(314)
+    for _ in range(40):
+        tree = random_tree(rng, max_leaves=10, dag=True)
+        leaves = sorted(tree.bas_ids)
+        for _ in range(8):
+            attack = {b for b in leaves if rng.random() < 0.5}
+            for nid in tree.nodes:
+                assert tree.structure_function(nid, attack) == holds(tree, nid, attack), nid
+
+
+def test_fold_evaluates_a_shared_gate_once_and_fills_the_memo():
+    tree = AttackTree(
+        [
+            Node("root", OR, ("x", "y")),
+            Node("x", AND, ("a", "s")),
+            Node("y", AND, ("b", "s")),
+            Node("s", OR, ("c", "d")),
+        ]
+        + [Node(b, BAS, ()) for b in "abcd"],
+        "root",
+    )
+    gates = []
+
+    def gate(combine):
+        def evaluate(values):
+            gates.append(combine)
+            return combine(values)
+        return evaluate
+
+    def leaf(node):
+        return node.id in {"b", "c"}
+
+    memo: dict[str, bool] = {}
+    assert tree.fold("root", leaf, gate(any), gate(all), values=memo)
+    assert memo == {"s": True, "x": False, "y": True, "root": True}
+    assert len(gates) == 4
+    # a shared memo answers later calls without evaluating any gate again
+    assert tree.fold("y", leaf, gate(any), gate(all), values=memo)
+    assert len(gates) == 4
+
+
+def test_above_and_below():
+    tree = wocao_entry_tree()
+    assert tree.above(["GVC"]) == {"GVC", "VPN", "InA"}
+    assert tree.above(["CVE1", "GVC"]) == {"CVE1", "EVJ", "GVC", "VPN", "InA"}
+    assert tree.below(["VPN"]) == {"VPN", "GVC", "CVP"}
+    assert tree.below(["EVJ", "CVP"]) == {"EVJ", "CVE1", "CVE2", "CVP"}
+    assert tree.above([]) == tree.below([]) == set()
+    with pytest.raises(UnknownEntityError):
+        tree.above(["nope"])
 
 
 def test_minimal_attacks_is_antichain_and_coherent():
