@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO
 
-from .errors import InvariantError, MissingAttributionError, ParseError, read_json
+from .errors import InvariantError, MissingAttributionError, ParseError, _opened, read_json
 from .metrics import BUILTIN_LOADS, Interval, get_load, neg_log
 from .tree import AttackTree, GateType, Node
 
@@ -146,6 +146,11 @@ def read_at(source: str | IO[str]) -> AtDocument:
             if gate is not GateType.BAS:
                 raise InvariantError(f"{where}: attrs on a non-BAS node")
             for load_name, raw_value in raw_attrs.items():
+                if load_name in ("maxprob", "security-index"):
+                    raise InvariantError(
+                        f"{where}: attrs[{load_name!r}] is never read; "
+                        "give the probability as prob or prob_interval"
+                    )
                 attrs.setdefault(load_name, {})[nid] = _interval_from(
                     raw_value, f"{where} attrs[{load_name!r}]", load_name
                 )
@@ -193,9 +198,6 @@ def at_to_dict(doc: AtDocument) -> dict:
 
 def write_at(doc: AtDocument, target: str | IO[str]) -> None:
     """Write at/1 JSON with stable bytes for equal documents."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_at(doc, fh)
-        return
-    json.dump(at_to_dict(doc), target, indent=2)
-    target.write("\n")
+    with _opened(target, "w") as fh:
+        json.dump(at_to_dict(doc), fh, indent=2)
+        fh.write("\n")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import AbstractSet, Iterable, Mapping
 
 from .errors import FormulaError, MissingAttributionError
@@ -39,8 +40,9 @@ from .metrics import (
     cuts_metric,
     get_load,
     interval_attack_metric,
+    tree_metric,
 )
-from .tree import AttackTree, GateType, Node, _cross, _decode, _minimize
+from .tree import AttackTree, GateType, Node, _decode, _minimize
 
 
 class TruthValue(Enum):
@@ -513,43 +515,51 @@ def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
 _SUPPORT_LIMIT = 16
 
 
+def _graft(tree: AttackTree, walk: list[Formula]) -> AttackTree | None:
+    """A negation-free formula as gates over its atoms' cones, else None.
+
+    An And is an AND gate when its operands are negation-free, an OR gate
+    when they are negation-free once negated (an Or); a Not adds no gate.
+    Gate ids are fresh, not node ids of the tree.  The root's minimal
+    attacks are the formula's minimal satisfying sets.
+    """
+    # True: negation-free as it stands; False: once negated.  An And whose
+    # operands disagree is neither, and so is every formula around it.
+    sign: dict[int, bool] = {}
+    node: dict[int, str] = {}  # the graft node each subformula stands for
+    gates: list[Node] = []
+    fresh = (gid for i in count() if (gid := f"f{i}") not in tree.nodes)
+    for f in walk:
+        match f:
+            case Atom(name):
+                sign[id(f)], node[id(f)] = True, name
+            case Not(operand):
+                sign[id(f)], node[id(f)] = not sign[id(operand)], node[id(operand)]
+            case And(left, right):
+                if sign[id(left)] != sign[id(right)]:
+                    return None
+                gate = GateType.AND if sign[id(left)] else GateType.OR
+                children = tuple(dict.fromkeys((node[id(left)], node[id(right)])))
+                gates.append(Node(next(fresh), gate, children))
+                sign[id(f)], node[id(f)] = sign[id(left)], gates[-1].id
+    if not sign[id(walk[-1])]:
+        return None
+    cone = tree.below(f.name for f in walk if isinstance(f, Atom))
+    return AttackTree([n for n in tree.nodes.values() if n.id in cone] + gates, node[id(walk[-1])])
+
+
 def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[frozenset[str]]:
     """Inclusion-minimal attacks satisfying a layer-1 formula.
 
-    Negation-free formulas (after desugaring) compose the nodes' minimal
-    attacks through the same union/cross-union algebra as the tree
-    itself.  Formulas with real negations fall back to enumerating
-    subsets of the atoms' leaf support, which is exponential and refused
-    beyond 16 support leaves.
+    For a negation-free formula (after desugaring) they are the minimal
+    attacks of its graft.  Formulas with real negations fall back to
+    enumerating subsets of the atoms' leaf support, which is exponential
+    and refused beyond 16 support leaves.
     """
     walk = _layer1(tree, formula, "formula metrics apply to layer-1 formulas")
-    # True: negation-free as it stands; False: negation-free once negated;
-    # None: neither.  A Not flips it, an And needs both operands to agree.
-    sign: dict[int, bool | None] = {}
-    for f in walk:
-        match f:
-            case Atom(_):
-                sign[id(f)] = True
-            case Not(operand):
-                sign[id(f)] = None if sign[id(operand)] is None else not sign[id(operand)]
-            case And(left, right):
-                sign[id(f)] = sign[id(left)] if sign[id(left)] == sign[id(right)] else None
-
-    if sign[id(formula)]:
-        # Every subformula is negation-free one way: its own minimal attacks
-        # (an And crosses them) or those of its negation (an Or of negations).
-        families: dict[int, list[int]] = {}
-        for f in walk:
-            match f:
-                case Atom(name):
-                    families[id(f)] = tree.cut_masks(name)
-                case Not(operand):
-                    families[id(f)] = families[id(operand)]
-                case And(left, right):
-                    a, b = families[id(left)], families[id(right)]
-                    families[id(f)] = _cross(a, b) if sign[id(f)] else _minimize(a + b)
-        return _decode(families[id(formula)], tree.bas_order)
-
+    graft = _graft(tree, walk)
+    if graft is not None:
+        return graft.minimal_attacks()
     cone = tree.below(f.name for f in walk if isinstance(f, Atom))
     support = sorted(n for n in cone if tree.nodes[n].type is GateType.BAS)
     if len(support) > _SUPPORT_LIMIT:
@@ -565,23 +575,23 @@ def minimal_satisfying_sets(tree: AttackTree, formula: Formula) -> frozenset[fro
     return _decode(_minimize(satisfying), support)
 
 
-def formula_metric(
-    tree: AttackTree,
-    attribution: Mapping[str, float] | Mapping[str, Interval],
-    load: Load,
-    formula: Formula,
-) -> float | Interval:
+def formula_metric(tree: AttackTree, attribution: Mapping[str, float | Interval], load: Load,
+                   formula: Formula) -> float | Interval:
     """Metric of a layer-1 formula: nabla over its minimal satisfying sets.
 
-    With point attributions the result is a number; with interval
-    attributions ((lo, hi) values) it is the endpoint-evaluated interval.
-    An unsatisfiable formula yields the load's nabla unit.
+    A negation-free formula's metric is :func:`tree_metric` of its graft;
+    a formula with real negations folds :func:`cuts_metric` over the
+    enumerated sets.  With point attributions the result is a number;
+    when some value is a (lo, hi) pair it is the endpoint-evaluated
+    interval.  An unsatisfiable formula yields the load's nabla unit.
     """
-    cuts = minimal_satisfying_sets(tree, formula)
+    graft = _graft(tree, _layer1(tree, formula, "formula metrics apply to layer-1 formulas"))
+    if graft is None:
+        cuts = minimal_satisfying_sets(tree, formula)
+        metric = lambda attr: cuts_metric(load, attr, cuts)
+    else:
+        metric = lambda attr: tree_metric(load, attr, graft)
     if not any(isinstance(v, tuple) for v in attribution.values()):
-        return cuts_metric(load, {k: float(v) for k, v in attribution.items()}, cuts)
-    lows, highs = _split({
-        k: (float(v[0]), float(v[1])) if isinstance(v, tuple) else (float(v), float(v))
-        for k, v in attribution.items()
-    })
-    return (cuts_metric(load, lows, cuts), cuts_metric(load, highs, cuts))
+        return metric(attribution)
+    lows, highs = _split(attribution)
+    return metric(lows), metric(highs)

@@ -18,7 +18,7 @@ import click
 from . import __version__, catm
 from .atfile import AtDocument, read_at, write_at
 from .errors import AttackQuantError, FormulaError, InvariantError
-from .metrics import BUILTIN_LOADS, get_load, interval_tree_metric, tree_metric
+from .metrics import BUILTIN_LOADS, Interval, get_load, interval_tree_metric, tree_metric
 from .snapshot import likelihoods, load_snapshot, save_snapshot, write_likelihood_csv
 from .stix import import_stix
 from .template import Difficulty, compare_all, instantiate
@@ -97,11 +97,14 @@ def metric(at_file: str, metric_name: str) -> None:
     doc.tree.require_valid()
     load = get_load(metric_name)
     if doc.has_intervals(metric_name):
-        lo, hi = interval_tree_metric(load, doc.interval_attribution(metric_name), doc.tree)
-        click.echo(f"[{lo:.6f}, {hi:.6f}]")
+        _echo_metric(interval_tree_metric(load, doc.interval_attribution(metric_name), doc.tree))
     else:
-        value = tree_metric(load, doc.point_attribution(metric_name), doc.tree)
-        click.echo(f"{value:.6f}")
+        _echo_metric(tree_metric(load, doc.point_attribution(metric_name), doc.tree))
+
+
+def _echo_metric(value: float | Interval) -> None:
+    """A metric on stdout: a number, or ``[lo, hi]`` under interval attributions."""
+    click.echo(f"[{value[0]:.6f}, {value[1]:.6f}]" if isinstance(value, tuple) else f"{value:.6f}")
 
 
 @main.command()
@@ -191,17 +194,9 @@ def query(ctx: click.Context, at_file: str, formula_text: str,
         if layer == 2:
             raise FormulaError("a layer-2 formula needs --attack")
         load = get_load(metric_name)
-        if doc.has_intervals(metric_name):
-            result = catm.formula_metric(
-                doc.tree, doc.interval_attribution(metric_name), load, formula
-            )
-            lo, hi = result
-            click.echo(f"[{lo:.6f}, {hi:.6f}]")
-        else:
-            value = catm.formula_metric(
-                doc.tree, doc.point_attribution(metric_name), load, formula
-            )
-            click.echo(f"{value:.6f}")
+        attribution = (doc.interval_attribution(metric_name) if doc.has_intervals(metric_name)
+                       else doc.point_attribution(metric_name))
+        _echo_metric(catm.formula_metric(doc.tree, attribution, load, formula))
         return
     attack = frozenset(step for step in (s.strip() for s in attack_text.split(",")) if step)
     if layer == 1:

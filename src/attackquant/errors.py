@@ -7,7 +7,8 @@ caught exception straight to a process status.
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from contextlib import contextmanager
+from typing import IO, Any, Iterator
 
 
 class AttackQuantError(Exception):
@@ -56,14 +57,23 @@ class UndefinedIndexError(AttackQuantError):
     exit_code = 3
 
 
+@contextmanager
+def _opened(target: str | IO[str], mode: str = "r",
+            newline: str | None = None) -> Iterator[IO[str]]:
+    """An open text file as it is, or a path opened as UTF-8 and closed afterwards."""
+    if isinstance(target, str):
+        with open(target, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    else:
+        yield target
+
+
 def read_json(source: str | IO[str], what: str) -> Any:
     """JSON from a path or open text file; undecodable or too deeply nested is a ParseError."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return read_json(fh, what)
-    try:
-        return json.load(source)
-    except ValueError as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ParseError(f"{what} is nested too deeply to read") from None
+    with _opened(source) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ParseError(f"{what} is nested too deeply to read") from None

@@ -11,9 +11,12 @@ minimal attacks on tree-structured trees.
 Two folds compute every metric: :meth:`AttackTree.fold` with nabla at OR
 and delta at AND/SAND, the bottom-up pass over a tree-structured cone
 (also the campaign security index, with unused subtrees absent), and
-:func:`cuts_metric`, nabla over a family of attacks (minimal attacks or
-minimal satisfying sets).  Interval attributions call either once per
-endpoint.
+:func:`cuts_metric`, nabla over a family of attacks.  :func:`tree_metric`
+picks between them by the tree's shape alone.  A negation-free formula's
+metric is :func:`tree_metric` of the formula grafted onto the tree (see
+``catm.formula_metric``); only a formula with real negations folds
+:func:`cuts_metric` over its minimal satisfying sets directly.  Interval
+attributions call either once per endpoint.
 """
 
 from __future__ import annotations
@@ -99,41 +102,31 @@ def cuts_metric(load: Load, attr: Mapping[str, float], cuts: Iterable[Collection
     )
 
 
-def tree_metric(
-    load: Load,
-    attr: Mapping[str, float],
-    tree: AttackTree,
-    node_id: str | None = None,
-    method: str = "auto",
-) -> float:
+def tree_metric(load: Load, attr: Mapping[str, float], tree: AttackTree,
+                node_id: str | None = None) -> float:
     """nabla over the node's minimal attacks of their delta-folds.
 
-    ``method`` selects the computation: "definitional" applies
-    :func:`cuts_metric` to the enumerated minimal attacks (always
-    correct, exponential worst case), "bottom-up" is the linear-time
-    :meth:`AttackTree.fold`, which is only sound on tree-structured trees, "auto"
-    picks bottom-up exactly when the tree is tree-structured.
+    On a tree-structured tree this is the linear-time bottom-up
+    :meth:`AttackTree.fold`.  On a DAG, where that pass would count a
+    shared node once per path, it is :func:`cuts_metric` over the
+    enumerated minimal attacks (exponential in the worst case).
     """
     tree.require_valid()
     target = tree.root if node_id is None else node_id
     tree.node(target)
-    if method == "auto":
-        method = "bottom-up" if tree.is_tree_structured else "definitional"
-    if method == "definitional":
-        return cuts_metric(load, attr, tree.minimal_attacks(target))
-    if method != "bottom-up":
-        raise ValueError(f"unknown method {method!r}")
     if not tree.is_tree_structured:
-        raise InvariantError("bottom-up pass is unsound on DAG-structured trees")
+        return cuts_metric(load, attr, tree.minimal_attacks(target))
     return tree.fold(
         target, lambda node: _value(attr, node.id, load), load.fold_nabla, load.fold_delta
     )
 
 
-def _split(iattr: Mapping[str, Interval]) -> tuple[dict[str, float], dict[str, float]]:
+def _split(iattr: Mapping[str, float | Interval]) -> tuple[dict[str, float], dict[str, float]]:
+    """Lower and upper ends per leaf; a number is a point, both ends equal."""
     lows: dict[str, float] = {}
     highs: dict[str, float] = {}
-    for step, (lo, hi) in iattr.items():
+    for step, value in iattr.items():
+        lo, hi = value if isinstance(value, tuple) else (value, value)
         if lo > hi:
             raise InvariantError(f"leaf {step!r}: interval bounds out of order [{lo}, {hi}]")
         lows[step] = lo
@@ -152,13 +145,8 @@ def interval_attack_metric(
     )
 
 
-def interval_tree_metric(
-    load: Load,
-    iattr: Mapping[str, Interval],
-    tree: AttackTree,
-    node_id: str | None = None,
-    method: str = "auto",
-) -> Interval:
+def interval_tree_metric(load: Load, iattr: Mapping[str, Interval], tree: AttackTree,
+                         node_id: str | None = None) -> Interval:
     """Metric bounds under interval attributions, by endpoint evaluation.
 
     Every built-in load is monotone in each leaf value, so the metric over
@@ -166,10 +154,7 @@ def interval_tree_metric(
     all-lower-bounds and all-upper-bounds evaluations.
     """
     lows, highs = _split(iattr)
-    return (
-        tree_metric(load, lows, tree, node_id, method),
-        tree_metric(load, highs, tree, node_id, method),
-    )
+    return tree_metric(load, lows, tree, node_id), tree_metric(load, highs, tree, node_id)
 
 
 def neg_log(p: float) -> float:
@@ -179,12 +164,8 @@ def neg_log(p: float) -> float:
     return math.inf if p == 0.0 else -math.log(p) + 0.0
 
 
-def security_index(
-    tree: AttackTree,
-    prob_attr: Mapping[str, float],
-    node_id: str | None = None,
-    method: str = "auto",
-) -> float:
+def security_index(tree: AttackTree, prob_attr: Mapping[str, float],
+                   node_id: str | None = None) -> float:
     """-ln of the max-probability metric, computed in the log domain.
 
     Working with (min, +) over -ln p avoids product underflow on big
@@ -192,4 +173,4 @@ def security_index(
     between ([0,1], max, *) and ([0,inf], min, +).
     """
     beta = {step: neg_log(p) for step, p in prob_attr.items()}
-    return tree_metric(SECURITY_INDEX, beta, tree, node_id, method)
+    return tree_metric(SECURITY_INDEX, beta, tree, node_id)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping
 
-from .errors import InvariantError, ParseError, UnknownEntityError, read_json
+from .errors import InvariantError, ParseError, UnknownEntityError, _opened, read_json
 
 # MITRE Enterprise tactic short names in matrix order, used by the STIX
 # importer to order tactics canonically.
@@ -360,21 +360,15 @@ def snapshot_to_dict(snapshot: KnowledgeSnapshot) -> dict:
 
 def save_snapshot(snapshot: KnowledgeSnapshot, target: str | IO[str]) -> None:
     """Write canonical snapshot/1 JSON (stable bytes for equal snapshots)."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            save_snapshot(snapshot, fh)
-        return
-    json.dump(snapshot_to_dict(snapshot), target, indent=2)
-    target.write("\n")
+    with _opened(target, "w") as fh:
+        json.dump(snapshot_to_dict(snapshot), fh, indent=2)
+        fh.write("\n")
 
 
 def write_likelihood_csv(matrix: ProbMatrix, target: str | IO[str]) -> None:
     """CSV export: header technique,tactic,probability, 12 significant digits."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_likelihood_csv(matrix, fh)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["technique", "tactic", "probability"])
-    for tech_id, tactic_id, p in matrix.entries():
-        writer.writerow([tech_id, tactic_id, f"{float(p):.12g}"])
+    with _opened(target, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["technique", "tactic", "probability"])
+        for tech_id, tactic_id, p in matrix.entries():
+            writer.writerow([tech_id, tactic_id, f"{float(p):.12g}"])

@@ -44,6 +44,7 @@ from attackquant.metrics import (
     MIN_SKILL,
     MIN_TIME_PAR,
     MIN_TIME_SEQ,
+    cuts_metric,
 )
 from attackquant.tree import GateType
 from conftest import FIXTURES
@@ -199,8 +200,8 @@ def test_criterion_05_bottom_up_vs_definitional():
         successful = _successful_sets(tree)
         for load in TABLE_LOADS:
             attr = random_attribution(rng, tree, load)
-            bottom_up = tree_metric(load, attr, tree, method="bottom-up")
-            definitional = tree_metric(load, attr, tree, method="definitional")
+            bottom_up = tree_metric(load, attr, tree)
+            definitional = cuts_metric(load, attr, tree.minimal_attacks())
             assert math.isclose(bottom_up, definitional, rel_tol=1e-9, abs_tol=1e-12)
             over_all = load.fold_nabla(
                 load.fold_delta(attr[s] for s in combo) for combo in successful

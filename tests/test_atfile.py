@@ -93,6 +93,14 @@ def test_unknown_load_in_attrs():
         doc_from(leaf_file(attrs={"entropy": 3}))
 
 
+@pytest.mark.parametrize("load", ["maxprob", "security-index"])
+def test_probability_loads_in_attrs_rejected(load):
+    # Both loads read prob/prob_interval only, so such an entry would be ignored.
+    with pytest.raises(InvariantError, match="prob or prob_interval") as caught:
+        doc_from(leaf_file(attrs={load: 0.9}))
+    assert caught.value.exit_code == 3
+
+
 def test_prob_and_interval_are_exclusive():
     with pytest.raises(InvariantError):
         doc_from(leaf_file(prob=0.5, prob_interval=[0.1, 0.2]))

@@ -30,8 +30,8 @@ from attackquant import (
     read_at,
 )
 from attackquant.catm import kleene_and, kleene_not, kleene_or, layer_of
-from attackquant.metrics import MAX_PROB, MIN_COST
-from helpers import AND, BAS, OR, random_tree, wocao_entry_tree
+from attackquant.metrics import BUILTIN_LOADS, MAX_PROB, MIN_COST, tree_metric
+from helpers import AND, BAS, OR, random_attribution, random_tree, wocao_entry_tree
 
 T, M, F = TruthValue.TRUE, TruthValue.MAYBE, TruthValue.FALSE
 
@@ -419,6 +419,37 @@ def _dag_cases(count: int = 3):
     return cases
 
 
+def _positive_cases(count: int = 4):
+    """Random negation-free formulas over random trees, tree- and DAG-shaped."""
+    rng = random.Random(14)
+    cases = []
+    while len(cases) < 2 * count:
+        dag = len(cases) % 2 == 1
+        tree = random_tree(rng, max_leaves=8, dag=dag)
+        if tree.is_tree_structured == dag or len(tree.bas_ids) < 4:
+            continue
+        ids = sorted(tree.nodes)
+        text = rng.choice(ids)
+        for _ in range(rng.randint(1, 4)):
+            double_negation = "!!" if rng.random() < 0.2 else ""
+            text = f"({text} {rng.choice('&|')} {double_negation}{rng.choice(ids)})"
+        shape = "dag" if dag else "tree"
+        cases.append(pytest.param(tree, text, id=f"{shape}{len(cases)}: {text}"))
+    return cases
+
+
+# Ids that the graft would pick first for its gates.
+COLLIDING = AttackTree(
+    [
+        Node("f0", AND, ("f1", "f2")),
+        Node("f1", OR, ("f2", "f3")),
+        Node("f2", BAS, ()),
+        Node("f3", BAS, ()),
+    ],
+    "f0",
+)
+
+
 @pytest.mark.parametrize(
     "tree, text",
     [
@@ -436,7 +467,12 @@ def _dag_cases(count: int = 3):
             "InA & !CVE1 & !CVE2",
         )
     ]
-    + _dag_cases(),
+    + _dag_cases()
+    + _positive_cases()
+    + [
+        pytest.param(COLLIDING, text, id=f"colliding ids: {text}")
+        for text in ("f1 & f3 | f2", "(f3 | f2) & f1 & f0", "f0 | f3")
+    ],
 )
 def test_minimal_satisfying_sets_match_brute_force(tree, text):
     formula = parse(text)
@@ -479,6 +515,20 @@ def test_formula_metric_point():
     assert formula_metric(tree, ENTRY_COSTS, MIN_COST, parse("CVE1 & CVE2")) == 11.0
     assert formula_metric(tree, ENTRY_COSTS, MIN_COST, parse("EVJ & !VPN")) == 3.0
     assert formula_metric(tree, ENTRY_COSTS, MIN_COST, parse("InA")) == 3.0
+
+
+def test_atom_metric_equals_node_metric():
+    # On a tree-structured tree an atom's graft is the node's own cone, so
+    # both go through the same bottom-up fold and agree to the last bit.
+    rng = random.Random(9942)
+    for _ in range(250):
+        tree = random_tree(rng, max_leaves=10)
+        for load in BUILTIN_LOADS.values():
+            attr = random_attribution(rng, tree, load)
+            for nid in tree.nodes:
+                assert formula_metric(tree, attr, load, Atom(nid)) == tree_metric(
+                    load, attr, tree, nid
+                )
 
 
 def test_formula_metric_unsatisfiable_yields_unit():

@@ -11,10 +11,12 @@ from attackquant import (
     MissingAttributionError,
     Node,
     attack_metric,
+    formula_metric,
     get_load,
     interval_attack_metric,
     interval_tree_metric,
     neg_log,
+    parse,
     security_index,
     tree_metric,
 )
@@ -26,6 +28,7 @@ from attackquant.metrics import (
     MIN_TIME_PAR,
     MIN_TIME_SEQ,
     SECURITY_INDEX,
+    cuts_metric,
 )
 from helpers import (
     AND,
@@ -133,8 +136,8 @@ def test_bottom_up_equals_definitional_on_trees():
         assert tree.is_tree_structured
         for load in TABLE_LOADS:
             attr = random_attribution(rng, tree, load)
-            bu = tree_metric(load, attr, tree, method="bottom-up")
-            df = tree_metric(load, attr, tree, method="definitional")
+            bu = tree_metric(load, attr, tree)
+            df = cuts_metric(load, attr, tree.minimal_attacks())
             assert math.isclose(bu, df, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -149,12 +152,12 @@ def test_bottom_up_refuses_dags():
     ]
     tree = AttackTree(nodes, "root")
     attr = {"a": 10.0, "b": 10.0, "s": 1.0}
-    with pytest.raises(InvariantError):
-        tree_metric(MIN_COST, attr, tree, method="bottom-up")
     # naive bottom-up would pay for the shared s twice (1 + 1 = 2); the
-    # cheapest attack is {s} alone at cost 1
+    # cheapest attack is {s} alone at cost 1, so a DAG is never folded
+    leaf = lambda node: attr[node.id]
+    assert tree.fold("root", leaf, MIN_COST.fold_nabla, MIN_COST.fold_delta) == 2.0
     assert tree_metric(MIN_COST, attr, tree) == 1.0
-    assert tree_metric(MIN_COST, attr, tree, method="definitional") == 1.0
+    assert cuts_metric(MIN_COST, attr, tree.minimal_attacks()) == 1.0
 
 
 def test_auto_method_agrees_across_shapes():
@@ -164,7 +167,7 @@ def test_auto_method_agrees_across_shapes():
         for load in TABLE_LOADS:
             attr = random_attribution(rng, tree, load)
             auto = tree_metric(load, attr, tree)
-            df = tree_metric(load, attr, tree, method="definitional")
+            df = cuts_metric(load, attr, tree.minimal_attacks())
             assert math.isclose(auto, df, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -174,7 +177,7 @@ def test_metric_over_minimal_equals_over_all_successful():
         tree = random_tree(rng, max_leaves=7, dag=True)
         for load in TABLE_LOADS:
             attr = random_attribution(rng, tree, load)
-            via_minimal = tree_metric(load, attr, tree, method="definitional")
+            via_minimal = cuts_metric(load, attr, tree.minimal_attacks())
             via_all = brute_metric_all_successful(load, attr, tree)
             assert math.isclose(via_minimal, via_all, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -193,6 +196,7 @@ def or_chain(depth: int) -> tuple[AttackTree, dict[str, float]]:
 def test_bottom_up_evaluates_a_5000_deep_or_chain():
     tree, costs = or_chain(5000)
     assert tree_metric(MIN_COST, costs, tree) == min(costs.values())
+    assert formula_metric(tree, costs, MIN_COST, parse("g0")) == min(costs.values())
 
 
 def test_tree_metric_at_inner_node():
@@ -250,7 +254,10 @@ def test_bottom_up_names_the_first_bad_leaf_in_child_order(bad, error):
     if bad is not None:
         costs.update(a=bad, y=bad)
     with pytest.raises(error, match="leaf 'y'"):
-        tree_metric(MIN_COST, costs, tree, method="bottom-up")
+        tree_metric(MIN_COST, costs, tree)
+    # a formula whose graft is tree-shaped takes the same fold
+    with pytest.raises(error, match="leaf 'y'"):
+        formula_metric(tree, costs, MIN_COST, parse("z & g & !!a"))
 
 
 def test_fold_over_the_live_cone_equals_the_metric_of_the_pruned_tree():
@@ -282,7 +289,7 @@ def test_interval_containment_under_sampling():
         assert lo <= hi
         for _ in range(100):
             point = {b: rng.uniform(*spans[b]) for b in spans}
-            v = tree_metric(load, point, tree, method="definitional")
+            v = cuts_metric(load, point, tree.minimal_attacks())
             assert lo - 1e-9 <= v <= hi + 1e-9
         at_lo = tree_metric(load, {b: spans[b][0] for b in spans}, tree)
         at_hi = tree_metric(load, {b: spans[b][1] for b in spans}, tree)
