@@ -8,7 +8,7 @@ campaign records a duplicate-free set of (tactic, technique) usage pairs.
 from __future__ import annotations
 
 import csv
-import json
+from json.encoder import encode_basestring_ascii
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,10 +275,6 @@ def _require(mapping: Mapping, key: str, kind: type, where: str):
     value = mapping.get(key)
     if value is None:
         raise ParseError(f"{where}: missing field {key!r}")
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{where}: field {key!r} must be a number")
-        return float(value)
     if not isinstance(value, kind):
         raise ParseError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
@@ -304,65 +300,68 @@ def load_snapshot(source: str | IO[str]) -> KnowledgeSnapshot:
         tactics_field = _require(raw, "tactics", list, "technique")
         if not all(isinstance(x, str) for x in tactics_field):
             raise ParseError("technique: field 'tactics' must be a list of ids")
-        techniques.append(
-            Technique(
-                _require(raw, "id", str, "technique"),
-                _require(raw, "name", str, "technique"),
-                parent,
-                tuple(tactics_field),
-            )
-        )
+        techniques.append(Technique(_require(raw, "id", str, "technique"),
+                                    _require(raw, "name", str, "technique"),
+                                    parent, tuple(tactics_field)))
     campaigns = []
     for raw in _require(data, "campaigns", list, "snapshot"):
         uses = set()
         for pair in _require(raw, "uses", list, "campaign"):
-            uses.add(
-                (
-                    _require(pair, "tactic", str, "usage pair"),
-                    _require(pair, "technique", str, "usage pair"),
-                )
-            )
-        campaigns.append(
-            Campaign(
-                _require(raw, "id", str, "campaign"),
-                _require(raw, "name", str, "campaign"),
-                frozenset(uses),
-            )
-        )
+            # Checked inline, as a snapshot holds tens of thousands of pairs;
+            # _require is called only to word the error.
+            if type(pair) is dict:
+                tactic, tech = pair.get("tactic"), pair.get("technique")
+                if type(tactic) is str and type(tech) is str:
+                    uses.add((tactic, tech))
+                    continue
+            uses.add((_require(pair, "tactic", str, "usage pair"),
+                      _require(pair, "technique", str, "usage pair")))
+        campaigns.append(Campaign(_require(raw, "id", str, "campaign"),
+                                  _require(raw, "name", str, "campaign"), frozenset(uses)))
     return KnowledgeSnapshot(version, tactics, techniques, campaigns)
 
 
-def snapshot_to_dict(snapshot: KnowledgeSnapshot) -> dict:
-    tactic_pos = {t.id: i for i, t in enumerate(snapshot.tactics)}
-    return {
-        "format": "snapshot/1",
-        "version": snapshot.version,
-        "tactics": [{"id": t.id, "name": t.name} for t in snapshot.tactics],
-        "techniques": [
-            {"id": t.id, "name": t.name, "parent": t.parent, "tactics": list(t.tactics)}
-            for t in snapshot.techniques.values()
-        ],
-        "campaigns": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "uses": [
-                    {"tactic": tac, "technique": tech}
-                    for tac, tech in sorted(
-                        c.uses, key=lambda p: (tactic_pos.get(p[0], len(tactic_pos)), p[1])
-                    )
-                ],
-            }
-            for c in snapshot.campaigns.values()
-        ],
-    }
+def _array(items: list[str], indent: str) -> str:
+    """``json.dumps(indent=2)``'s layout of an array of encoded items."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def save_snapshot(snapshot: KnowledgeSnapshot, target: str | IO[str]) -> None:
-    """Write canonical snapshot/1 JSON (stable bytes for equal snapshots)."""
+    """Write canonical snapshot/1 JSON: the bytes of ``json.dumps(doc, indent=2) + "\\n"``.
+
+    Built from a fixed template per object, with every string through the C
+    ASCII escaper, and written one technique or campaign at a time.
+    """
+    enc = encode_basestring_ascii
+    tactic_pos = {t.id: i for i, t in enumerate(snapshot.tactics)}
+    use = '{\n          "tactic": %s,\n          "technique": %s\n        }'
+    tactics = (f'{{\n      "id": {enc(t.id)},\n      "name": {enc(t.name)}\n    }}'
+               for t in snapshot.tactics)
+    techniques = (
+        f'{{\n      "id": {enc(t.id)},\n      "name": {enc(t.name)},\n      "parent": '
+        f'{"null" if t.parent is None else enc(t.parent)},\n      "tactics": '
+        f'{_array([enc(x) for x in t.tactics], "      ")}\n    }}'
+        for t in snapshot.techniques.values()
+    )
+    campaigns = (
+        f'{{\n      "id": {enc(c.id)},\n      "name": {enc(c.name)},\n      "uses": '
+        + _array([use % (enc(tac), enc(tech)) for tac, tech in
+                  sorted(c.uses, key=lambda p: (tactic_pos[p[0]], p[1]))], "      ")
+        + "\n    }"
+        for c in snapshot.campaigns.values()
+    )
     with _opened(target, "w") as fh:
-        json.dump(snapshot_to_dict(snapshot), fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "format": "snapshot/1",\n  "version": {enc(snapshot.version)}')
+        for key, items in (("tactics", tactics), ("techniques", techniques),
+                           ("campaigns", campaigns)):
+            fh.write(f',\n  "{key}": ')
+            sep = "[\n    "
+            for item in items:
+                fh.write(sep + item)
+                sep = ",\n    "
+            fh.write("[]" if sep[0] == "[" else "\n  ]")  # sep is "[..." until an item
+        fh.write("\n}\n")
 
 
 def write_likelihood_csv(matrix: ProbMatrix, target: str | IO[str]) -> None:

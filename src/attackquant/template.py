@@ -182,6 +182,7 @@ def instantiate(
     probs: ProbMatrix | None = None,
 ) -> tuple[AttackTree, dict[str, float]]:
     """Pruned template for one campaign plus its leaf probabilities."""
+    snapshot.campaign(campaign_id)
     if probs is None:
         probs = likelihoods(snapshot)
     template = build_template(snapshot, difficulty)

@@ -99,7 +99,7 @@ def brute_metric_all_successful(load: Load, attr: dict[str, float], tree: Attack
 def random_attribution(rng: random.Random, tree: AttackTree, load: Load) -> dict[str, float]:
     lo, hi = load.domain
     hi = min(hi, 100.0)
-    return {b: rng.uniform(lo, hi) for b in tree.bas_ids}
+    return {b: rng.uniform(lo, hi) for b in sorted(tree.bas_ids)}
 
 
 def random_interval_attribution(
@@ -108,7 +108,7 @@ def random_interval_attribution(
     lo, hi = load.domain
     hi = min(hi, 100.0)
     out = {}
-    for b in tree.bas_ids:
+    for b in sorted(tree.bas_ids):
         a, c = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
         out[b] = (a, c)
     return out
@@ -144,6 +144,33 @@ def snapshot_from_usage(
         techniques,
         camp_objs,
     )
+
+
+def snapshot_to_dict(snapshot: KnowledgeSnapshot) -> dict:
+    """The snapshot/1 document; ``save_snapshot`` writes it as ``json.dumps(indent=2)``."""
+    tactic_pos = {t.id: i for i, t in enumerate(snapshot.tactics)}
+    return {
+        "format": "snapshot/1",
+        "version": snapshot.version,
+        "tactics": [{"id": t.id, "name": t.name} for t in snapshot.tactics],
+        "techniques": [
+            {"id": t.id, "name": t.name, "parent": t.parent, "tactics": list(t.tactics)}
+            for t in snapshot.techniques.values()
+        ],
+        "campaigns": [
+            {
+                "id": c.id,
+                "name": c.name,
+                "uses": [
+                    {"tactic": tac, "technique": tech}
+                    for tac, tech in sorted(
+                        c.uses, key=lambda p: (tactic_pos.get(p[0], len(tactic_pos)), p[1])
+                    )
+                ],
+            }
+            for c in snapshot.campaigns.values()
+        ],
+    }
 
 
 def random_snapshot(rng: random.Random) -> KnowledgeSnapshot:

@@ -1,8 +1,12 @@
+import copy
 import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attackquant import (
     Campaign,
@@ -19,7 +23,7 @@ from attackquant import (
     write_likelihood_csv,
 )
 from attackquant.snapshot import used_pairs
-from helpers import snapshot_from_usage
+from helpers import snapshot_from_usage, snapshot_to_dict
 
 
 @pytest.fixture
@@ -165,6 +169,43 @@ def test_fixture_files_are_canonical(fixtures, tmp_path):
         assert out.read_bytes() == path.read_bytes()
 
 
+# Every string field draws from all of Unicode, weighted towards what JSON escapes.
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\x80\xe9\u2028\uffff\U0001f600\U0010ffff')
+    | st.characters(),
+    max_size=5,
+)
+
+
+@st.composite
+def snapshots(draw):
+    ids = st.lists(TEXT, unique=True, max_size=4)
+    tactic_ids = draw(ids)
+    techniques: list[Technique] = []
+    for tech_id in draw(ids):
+        parents = [t.id for t in techniques if t.parent is None]
+        parent = draw(st.none() | st.sampled_from(parents)) if parents else None
+        tags = draw(st.lists(st.sampled_from(tactic_ids), unique=True)) if tactic_ids else []
+        techniques.append(Technique(tech_id, draw(TEXT), parent, tuple(tags)))
+    pairs = [(tactic, t.id) for t in techniques for tactic in t.tactics]
+    uses = st.lists(st.sampled_from(pairs), max_size=6) if pairs else st.just([])
+    campaigns = [Campaign(cid, draw(TEXT), frozenset(draw(uses))) for cid in draw(ids)]
+    return KnowledgeSnapshot(
+        draw(TEXT), [Tactic(t, draw(TEXT)) for t in tactic_ids], techniques, campaigns
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(snapshots())
+@example(KnowledgeSnapshot("", [], [], []))
+@example(KnowledgeSnapshot("v", [Tactic("A", "")], [Technique("T", "T", None, ())],
+                           [Campaign("C", "C", frozenset())]))
+def test_writer_equals_the_generic_encoder(snap):
+    buf = io.StringIO()
+    save_snapshot(snap, buf)
+    assert buf.getvalue() == json.dumps(snapshot_to_dict(snap), indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -219,3 +260,134 @@ def test_version_preserved(toy):
     assert toy.version
     probs = likelihoods(toy)
     assert probs.version == toy.version
+
+
+# -- loader error table --------------------------------------------------------
+
+VALID = {
+    "format": "snapshot/1",
+    "version": "v",
+    "tactics": [{"id": "A", "name": "Alpha"}],
+    "techniques": [{"id": "T", "name": "Tee", "parent": None, "tactics": ["A"]}],
+    "campaigns": [{"id": "C", "name": "Cee", "uses": [{"tactic": "A", "technique": "T"}]}],
+}
+MISSING = object()
+TOP = "snapshot: top level must be an object"
+MARKER = "snapshot: missing or unsupported format marker"
+
+# (path into VALID, value put there or MISSING to delete it, expected message)
+LOADER_ERRORS = [
+    ((), [], TOP),
+    ((), "x", TOP),
+    ((), True, TOP),
+    ((), None, TOP),
+    (("format",), MISSING, MARKER),
+    (("format",), 2, MARKER),
+    (("format",), True, MARKER),
+    (("format",), "snapshot/2", MARKER),
+    (("version",), MISSING, "snapshot: missing field 'version'"),
+    (("version",), None, "snapshot: missing field 'version'"),
+    (("version",), 3, "snapshot: field 'version' must be str"),
+    (("version",), True, "snapshot: field 'version' must be str"),
+    (("tactics",), MISSING, "snapshot: missing field 'tactics'"),
+    (("tactics",), {}, "snapshot: field 'tactics' must be list"),
+    (("tactics",), True, "snapshot: field 'tactics' must be list"),
+    (("tactics", 0), "x", "tactic: expected an object"),
+    (("tactics", 0), True, "tactic: expected an object"),
+    (("tactics", 0), [], "tactic: expected an object"),
+    (("tactics", 0, "id"), MISSING, "tactic: missing field 'id'"),
+    (("tactics", 0, "id"), None, "tactic: missing field 'id'"),
+    (("tactics", 0, "id"), 1, "tactic: field 'id' must be str"),
+    (("tactics", 0, "id"), True, "tactic: field 'id' must be str"),
+    (("tactics", 0, "name"), MISSING, "tactic: missing field 'name'"),
+    (("tactics", 0, "name"), True, "tactic: field 'name' must be str"),
+    (("techniques",), MISSING, "snapshot: missing field 'techniques'"),
+    (("techniques",), "x", "snapshot: field 'techniques' must be list"),
+    (("techniques",), True, "snapshot: field 'techniques' must be list"),
+    (("techniques", 0), "x", "technique: expected an object"),
+    (("techniques", 0), True, "technique: expected an object"),
+    (("techniques", 0), None, "technique: expected an object"),
+    (("techniques", 0, "id"), MISSING, "technique: missing field 'id'"),
+    (("techniques", 0, "id"), 1, "technique: field 'id' must be str"),
+    (("techniques", 0, "id"), True, "technique: field 'id' must be str"),
+    (("techniques", 0, "name"), MISSING, "technique: missing field 'name'"),
+    (("techniques", 0, "name"), None, "technique: missing field 'name'"),
+    (("techniques", 0, "name"), True, "technique: field 'name' must be str"),
+    (("techniques", 0, "parent"), 1, "technique: field 'parent' must be str"),
+    (("techniques", 0, "parent"), True, "technique: field 'parent' must be str"),
+    (("techniques", 0, "parent"), [], "technique: field 'parent' must be str"),
+    (("techniques", 0, "tactics"), MISSING, "technique: missing field 'tactics'"),
+    (("techniques", 0, "tactics"), None, "technique: missing field 'tactics'"),
+    (("techniques", 0, "tactics"), "A", "technique: field 'tactics' must be list"),
+    (("techniques", 0, "tactics"), True, "technique: field 'tactics' must be list"),
+    (("techniques", 0, "tactics"), ["A", 1], "technique: field 'tactics' must be a list of ids"),
+    (("techniques", 0, "tactics"), [True], "technique: field 'tactics' must be a list of ids"),
+    (("techniques", 0, "tactics"), [None], "technique: field 'tactics' must be a list of ids"),
+    (("campaigns",), MISSING, "snapshot: missing field 'campaigns'"),
+    (("campaigns",), None, "snapshot: missing field 'campaigns'"),
+    (("campaigns",), {}, "snapshot: field 'campaigns' must be list"),
+    (("campaigns",), True, "snapshot: field 'campaigns' must be list"),
+    (("campaigns", 0), "x", "campaign: expected an object"),
+    (("campaigns", 0), True, "campaign: expected an object"),
+    (("campaigns", 0), 1, "campaign: expected an object"),
+    (("campaigns", 0, "id"), MISSING, "campaign: missing field 'id'"),
+    (("campaigns", 0, "id"), 1, "campaign: field 'id' must be str"),
+    (("campaigns", 0, "id"), True, "campaign: field 'id' must be str"),
+    (("campaigns", 0, "name"), None, "campaign: missing field 'name'"),
+    (("campaigns", 0, "name"), True, "campaign: field 'name' must be str"),
+    (("campaigns", 0, "uses"), MISSING, "campaign: missing field 'uses'"),
+    (("campaigns", 0, "uses"), None, "campaign: missing field 'uses'"),
+    (("campaigns", 0, "uses"), 1, "campaign: field 'uses' must be list"),
+    (("campaigns", 0, "uses"), True, "campaign: field 'uses' must be list"),
+    (("campaigns", 0, "uses", 0), "x", "usage pair: expected an object"),
+    (("campaigns", 0, "uses", 0), True, "usage pair: expected an object"),
+    (("campaigns", 0, "uses", 0), [], "usage pair: expected an object"),
+    (("campaigns", 0, "uses", 0), None, "usage pair: expected an object"),
+    (("campaigns", 0, "uses", 0, "tactic"), MISSING, "usage pair: missing field 'tactic'"),
+    (("campaigns", 0, "uses", 0, "tactic"), None, "usage pair: missing field 'tactic'"),
+    (("campaigns", 0, "uses", 0, "tactic"), 1, "usage pair: field 'tactic' must be str"),
+    (("campaigns", 0, "uses", 0, "tactic"), True, "usage pair: field 'tactic' must be str"),
+    (("campaigns", 0, "uses", 0, "tactic"), ["A"], "usage pair: field 'tactic' must be str"),
+    (("campaigns", 0, "uses", 0, "technique"), MISSING, "usage pair: missing field 'technique'"),
+    (("campaigns", 0, "uses", 0, "technique"), None, "usage pair: missing field 'technique'"),
+    (("campaigns", 0, "uses", 0, "technique"), 1, "usage pair: field 'technique' must be str"),
+    (("campaigns", 0, "uses", 0, "technique"), True, "usage pair: field 'technique' must be str"),
+]
+
+
+def _broken(path, value):
+    doc = copy.deepcopy(VALID)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message", LOADER_ERRORS,
+    ids=[f"{'.'.join(map(str, p)) or 'top'}={'missing' if v is MISSING else json.dumps(v)}"
+         for p, v, _ in LOADER_ERRORS],
+)
+def test_load_snapshot_error_messages(path, value, message):
+    with pytest.raises(ParseError) as caught:
+        load_snapshot(io.StringIO(json.dumps(_broken(path, value))))
+    assert str(caught.value) == message
+
+
+def test_load_snapshot_reports_the_first_fault():
+    doc = copy.deepcopy(VALID)
+    doc["campaigns"][0]["uses"] = [
+        {"tactic": "A", "technique": "T"},
+        {"tactic": 1},
+    ]
+    del doc["campaigns"][0]["id"]
+    # usage pairs before the campaign's own fields, the tactic before the technique
+    with pytest.raises(ParseError, match=r"^usage pair: field 'tactic' must be str$"):
+        load_snapshot(io.StringIO(json.dumps(doc)))
+    assert load_snapshot(io.StringIO(json.dumps(VALID))).campaign("C").uses == {("A", "T")}

@@ -294,6 +294,25 @@ def test_unknown_campaign(miniature):
         campaign_index(miniature, "nope")
 
 
+def test_instantiate_unknown_campaign_fails_before_any_work(miniature, tmp_path, monkeypatch):
+    import attackquant.template as template_mod
+
+    calls = []
+    monkeypatch.setattr(template_mod, "build_template", lambda *a: calls.append("build"))
+    monkeypatch.setattr(template_mod, "likelihoods", lambda *a: calls.append("likelihoods"))
+    with pytest.raises(UnknownEntityError, match=r"^unknown campaign 'nope'$"):
+        instantiate(miniature, "nope")
+    assert calls == []
+    path = tmp_path / "snap.json"
+    save_snapshot(miniature, str(path))
+    result = CliRunner().invoke(
+        main, ["template", "nope", "--snapshot", str(path), "--out", str(tmp_path / "t.json")]
+    )
+    assert result.exit_code == 4
+    assert "unknown campaign 'nope'" in result.output
+    assert calls == []
+
+
 def test_instantiate_prunes_to_used(miniature):
     pruned, attr = instantiate(miniature, "X1", Difficulty.DEFAULT)
     assert set(attr) == {"E1@A1", "E2.2@A1"}
