@@ -70,6 +70,7 @@ from .template import (
     campaign_index,
     compare_all,
     instantiate,
+    rank,
     security_range,
 )
 from .tree import Attack, AttackTree, GateType, Node

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO
 
-from .errors import InvariantError, MissingAttributionError, ParseError, _opened, read_json
+from .errors import InvariantError, ParseError, _opened, read_json
 from .metrics import BUILTIN_LOADS, Interval, get_load, neg_log
 from .tree import AttackTree, GateType, Node
 
@@ -31,44 +31,31 @@ class AtDocument:
     top_extras: dict = field(default_factory=dict)
     node_extras: dict[str, dict] = field(default_factory=dict)
 
-    def has_intervals(self, load_name: str) -> bool:
-        entries = self._entries(load_name)
-        return any(lo != hi for lo, hi in entries.values())
-
-    def _entries(self, load_name: str) -> dict[str, Interval]:
+    def attribution(self, load_name: str) -> dict[str, float | Interval]:
+        """Leaf values of one load: a number where both ends agree, else (lo, hi)."""
         get_load(load_name)
         if load_name == "maxprob":
-            return self.prob
-        if load_name == "security-index":
+            entries = self.prob
+        elif load_name == "security-index":
             # Derived from probabilities; -ln is antitone, so ends swap.
-            return {
-                step: (neg_log(hi), neg_log(lo))
-                for step, (lo, hi) in self.prob.items()
-            }
-        return self.attrs.get(load_name, {})
+            entries = {step: (neg_log(hi), neg_log(lo)) for step, (lo, hi) in self.prob.items()}
+        else:
+            entries = self.attrs.get(load_name, {})
+        return _number_or_pair(entries)
 
-    def interval_attribution(self, load_name: str) -> dict[str, Interval]:
-        return dict(self._entries(load_name))
-
-    def point_attribution(self, load_name: str) -> dict[str, float]:
-        entries = self._entries(load_name)
-        out: dict[str, float] = {}
-        for step, (lo, hi) in entries.items():
-            if lo != hi:
-                raise MissingAttributionError(
-                    f"leaf {step!r} carries a {load_name} interval, not a point value"
-                )
-            out[step] = lo
-        return out
-
-    def attributions(self) -> dict[str, dict[str, Interval]]:
-        """Interval attribution per load, for query evaluation."""
-        out: dict[str, dict[str, Interval]] = {}
+    def attributions(self) -> dict[str, dict[str, float | Interval]]:
+        """:meth:`attribution` of every load that has values, for query evaluation."""
+        out: dict[str, dict[str, float | Interval]] = {}
         for name in BUILTIN_LOADS:
-            entries = self._entries(name)
+            entries = self.attribution(name)
             if entries:
-                out[name] = dict(entries)
+                out[name] = entries
         return out
+
+
+def _number_or_pair(entries: dict[str, Interval]) -> dict[str, float | Interval]:
+    """Each value as a number where both ends agree, else as (lo, hi)."""
+    return {step: lo if lo == hi else (lo, hi) for step, (lo, hi) in entries.items()}
 
 
 def _interval_from(raw, where: str, load_name: str) -> Interval:
@@ -166,6 +153,8 @@ def read_at(source: str | IO[str]) -> AtDocument:
 def at_to_dict(doc: AtDocument) -> dict:
     out: dict = {"format": "at/1", "root": doc.tree.root}
     out.update(doc.top_extras)
+    prob = _number_or_pair(doc.prob)
+    attrs = {name: _number_or_pair(entries) for name, entries in sorted(doc.attrs.items())}
     rendered = []
     for node in doc.tree.nodes.values():
         raw: dict = {"id": node.id, "type": node.type.value}
@@ -174,22 +163,11 @@ def at_to_dict(doc: AtDocument) -> dict:
         for key, value in (("label", node.label), ("tactic", node.tactic), ("technique", node.technique)):
             if value is not None:
                 raw[key] = value
-        if node.id in doc.prob:
-            lo, hi = doc.prob[node.id]
-            if lo == hi:
-                raw["prob"] = lo
-            else:
-                raw["prob_interval"] = [lo, hi]
-        per_node = {
-            load_name: entries[node.id]
-            for load_name, entries in sorted(doc.attrs.items())
-            if node.id in entries
-        }
+        if node.id in prob:
+            raw["prob_interval" if isinstance(prob[node.id], tuple) else "prob"] = prob[node.id]
+        per_node = {name: entries[node.id] for name, entries in attrs.items() if node.id in entries}
         if per_node:
-            raw["attrs"] = {
-                load_name: (lo if lo == hi else [lo, hi])
-                for load_name, (lo, hi) in per_node.items()
-            }
+            raw["attrs"] = per_node
         raw.update(doc.node_extras.get(node.id, {}))
         rendered.append(raw)
     out["nodes"] = rendered

@@ -36,7 +36,7 @@ from .errors import FormulaError, MissingAttributionError
 from .metrics import (
     Interval,
     Load,
-    _split,
+    by_endpoints,
     cuts_metric,
     get_load,
     interval_attack_metric,
@@ -415,7 +415,7 @@ def _collapse(tree: AttackTree, target: str) -> AttackTree:
     return AttackTree(nodes, tree.root)
 
 
-Attributions = Mapping[str, Mapping[str, Interval]]
+Attributions = Mapping[str, Mapping[str, float | Interval]]
 
 
 def eval_layer2(
@@ -427,11 +427,11 @@ def eval_layer2(
 ) -> TruthValue:
     """Trivalent verdict of a layer-2 formula for one attack.
 
-    ``attributions`` maps load name -> node id -> interval; point values
-    are intervals with equal ends.  A metric check holds outright when
-    the attack's whole metric interval sits at or below the bound, fails
-    outright when the bound undercuts the interval or the Boolean body
-    is unsatisfied, and is MAYBE when the bound falls inside.
+    ``attributions`` maps load name -> node id -> a number or a (lo, hi)
+    pair, as ``AtDocument.attributions`` gives.  A metric check holds
+    outright when the attack's whole metric interval sits at or below the
+    bound, fails outright when the bound undercuts the interval or the
+    Boolean body is unsatisfied, and is MAYBE when the bound falls inside.
     """
     if layer_of(formula) != 2:
         raise FormulaError("layer-1 formula: use eval_layer1")
@@ -581,9 +581,9 @@ def formula_metric(tree: AttackTree, attribution: Mapping[str, float | Interval]
 
     A negation-free formula's metric is :func:`tree_metric` of its graft;
     a formula with real negations folds :func:`cuts_metric` over the
-    enumerated sets.  With point attributions the result is a number;
-    when some value is a (lo, hi) pair it is the endpoint-evaluated
-    interval.  An unsatisfiable formula yields the load's nabla unit.
+    enumerated sets.  The result is a number or an interval as
+    :func:`~attackquant.metrics.by_endpoints` decides.  An unsatisfiable
+    formula yields the load's nabla unit.
     """
     graft = _graft(tree, _layer1(tree, formula, "formula metrics apply to layer-1 formulas"))
     if graft is None:
@@ -591,7 +591,4 @@ def formula_metric(tree: AttackTree, attribution: Mapping[str, float | Interval]
         metric = lambda attr: cuts_metric(load, attr, cuts)
     else:
         metric = lambda attr: tree_metric(load, attr, graft)
-    if not any(isinstance(v, tuple) for v in attribution.values()):
-        return metric(attribution)
-    lows, highs = _split(attribution)
-    return metric(lows), metric(highs)
+    return by_endpoints(metric, attribution)

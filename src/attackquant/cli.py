@@ -18,10 +18,10 @@ import click
 from . import __version__, catm
 from .atfile import AtDocument, read_at, write_at
 from .errors import AttackQuantError, FormulaError, InvariantError
-from .metrics import BUILTIN_LOADS, Interval, get_load, interval_tree_metric, tree_metric
+from .metrics import BUILTIN_LOADS, Interval, get_load, interval_tree_metric
 from .snapshot import likelihoods, load_snapshot, save_snapshot, write_likelihood_csv
 from .stix import import_stix
-from .template import Difficulty, compare_all, instantiate
+from .template import Difficulty, compare_all, instantiate, rank
 
 _DIFFICULTIES = click.Choice([d.value for d in Difficulty])
 # load names resolve through get_load so an unknown one exits with the
@@ -95,11 +95,7 @@ def metric(at_file: str, metric_name: str) -> None:
     """Evaluate one metric of the tree in an at/1 file."""
     doc = read_at(at_file)
     doc.tree.require_valid()
-    load = get_load(metric_name)
-    if doc.has_intervals(metric_name):
-        _echo_metric(interval_tree_metric(load, doc.interval_attribution(metric_name), doc.tree))
-    else:
-        _echo_metric(tree_metric(load, doc.point_attribution(metric_name), doc.tree))
+    _echo_metric(interval_tree_metric(get_load(metric_name), doc.attribution(metric_name), doc.tree))
 
 
 def _echo_metric(value: float | Interval) -> None:
@@ -127,50 +123,33 @@ def compare(snapshots: tuple[str, ...], difficulty: str, out: str,
             "across versions (pass --allow-cross-version to override)"
         )
     level = Difficulty(difficulty)
-    rows: list[tuple[str, str, float | None]] = []
-    spans: dict[str, tuple[str, dict[str, float | None]]] = {}
+    table: dict[str, tuple[str, dict[Difficulty, float | None]]] = {}
     for snap in loaded:
         probs = likelihoods(snap)
         index_at = {d: dict(compare_all(snap, d, probs)) for d in Difficulty}
-        for campaign_id, index in index_at[level].items():
-            if campaign_id in spans:
+        for campaign_id in index_at[level]:
+            if campaign_id in table:
                 raise InvariantError(
                     f"campaign {campaign_id!r} appears in more than one snapshot"
                 )
-            name = snap.campaign(campaign_id).name
-            rows.append((campaign_id, name, index))
-            per_level = {d.value: index_at[d][campaign_id] for d in Difficulty}
-            spans[campaign_id] = (name, per_level)
-    rows.sort(key=lambda r: (r[2] is None, r[2] if r[2] is not None else 0.0, r[0]))
+            per_level = {d: index_at[d][campaign_id] for d in Difficulty}
+            table[campaign_id] = (snap.campaign(campaign_id).name, per_level)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["campaign", "name", "difficulty", "index"])
-        for campaign_id, name, index in rows:
-            writer.writerow([
-                campaign_id, name, difficulty,
-                "undefined" if index is None else f"{index:.6f}",
-            ])
+        for campaign_id, index in rank((c, per[level]) for c, (_, per) in table.items()):
+            writer.writerow([campaign_id, table[campaign_id][0], difficulty, _cell(index)])
     stem, ext = os.path.splitext(out)
-    plot_path = f"{stem}.plot{ext or '.csv'}"
-    ordered = sorted(
-        spans.items(),
-        key=lambda kv: (
-            kv[1][1]["default"] is None,
-            kv[1][1]["default"] if kv[1][1]["default"] is not None else 0.0,
-            kv[0],
-        ),
-    )
-    with open(plot_path, "w", encoding="utf-8", newline="") as fh:
+    with open(f"{stem}.plot{ext or '.csv'}", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["campaign", "name", "easy", "default", "hard"])
-        for campaign_id, (name, per_level) in ordered:
-            writer.writerow(
-                [campaign_id, name]
-                + [
-                    "undefined" if per_level[d.value] is None else f"{per_level[d.value]:.6f}"
-                    for d in Difficulty
-                ]
-            )
+        for campaign_id, _ in rank((c, per[Difficulty.DEFAULT]) for c, (_, per) in table.items()):
+            name, per_level = table[campaign_id]
+            writer.writerow([campaign_id, name] + [_cell(per_level[d]) for d in Difficulty])
+
+
+def _cell(index: float | None) -> str:
+    return "undefined" if index is None else f"{index:.6f}"
 
 
 @main.command()
@@ -194,9 +173,7 @@ def query(ctx: click.Context, at_file: str, formula_text: str,
         if layer == 2:
             raise FormulaError("a layer-2 formula needs --attack")
         load = get_load(metric_name)
-        attribution = (doc.interval_attribution(metric_name) if doc.has_intervals(metric_name)
-                       else doc.point_attribution(metric_name))
-        _echo_metric(catm.formula_metric(doc.tree, attribution, load, formula))
+        _echo_metric(catm.formula_metric(doc.tree, doc.attribution(metric_name), load, formula))
         return
     attack = frozenset(step for step in (s.strip() for s in attack_text.split(",")) if step)
     if layer == 1:

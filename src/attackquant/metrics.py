@@ -15,8 +15,8 @@ and delta at AND/SAND, the bottom-up pass over a tree-structured cone
 picks between them by the tree's shape alone.  A negation-free formula's
 metric is :func:`tree_metric` of the formula grafted onto the tree (see
 ``catm.formula_metric``); only a formula with real negations folds
-:func:`cuts_metric` over its minimal satisfying sets directly.  Interval
-attributions call either once per endpoint.
+:func:`cuts_metric` over its minimal satisfying sets directly.
+:func:`by_endpoints` decides whether a metric is a number or an interval.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _split(iattr: Mapping[str, float | Interval]) -> tuple[dict[str, float], dic
 
 
 def interval_attack_metric(
-    load: Load, iattr: Mapping[str, Interval], attack: Iterable[str]
+    load: Load, iattr: Mapping[str, float | Interval], attack: Iterable[str]
 ) -> Interval:
     """Endpoint delta-folds over one attack; delta is monotone for every built-in."""
     lows, highs = _split(iattr)
@@ -145,16 +145,24 @@ def interval_attack_metric(
     )
 
 
-def interval_tree_metric(load: Load, iattr: Mapping[str, Interval], tree: AttackTree,
-                         node_id: str | None = None) -> Interval:
-    """Metric bounds under interval attributions, by endpoint evaluation.
+def by_endpoints(metric: Callable[[Mapping[str, float]], float],
+                 attr: Mapping[str, float | Interval]) -> float | Interval:
+    """``metric(attr)`` when every leaf value is a number, else its (lo, hi) bounds.
 
-    Every built-in load is monotone in each leaf value, so the metric over
-    all feasible point attributions spans exactly the interval between the
-    all-lower-bounds and all-upper-bounds evaluations.
+    Every built-in load is monotone in each leaf value, so under (lo, hi)
+    pairs the metric over all feasible point attributions spans exactly
+    the interval between the all-lower-ends and all-upper-ends evaluations.
     """
-    lows, highs = _split(iattr)
-    return tree_metric(load, lows, tree, node_id), tree_metric(load, highs, tree, node_id)
+    if not any(isinstance(v, tuple) for v in attr.values()):
+        return metric(attr)
+    lows, highs = _split(attr)
+    return metric(lows), metric(highs)
+
+
+def interval_tree_metric(load: Load, iattr: Mapping[str, float | Interval], tree: AttackTree,
+                         node_id: str | None = None) -> float | Interval:
+    """:func:`tree_metric` under values that may be (lo, hi) pairs; see :func:`by_endpoints`."""
+    return by_endpoints(lambda attr: tree_metric(load, attr, tree, node_id), iattr)
 
 
 def neg_log(p: float) -> float:

@@ -115,20 +115,26 @@ class KnowledgeSnapshot:
         self._subs = {p: tuple(sorted(s)) for p, s in subs.items()}
         for camp in self.campaigns.values():
             for tactic_id, tech_id in camp.uses:
-                if tactic_id not in tactic_ids:
-                    raise InvariantError(
-                        f"campaign {camp.id!r}: uses undeclared tactic {tactic_id!r}"
-                    )
                 tech = self.techniques.get(tech_id)
-                if tech is None:
-                    raise InvariantError(
-                        f"campaign {camp.id!r}: uses undeclared technique {tech_id!r}"
-                    )
-                if tactic_id not in tech.tactics:
-                    raise InvariantError(
-                        f"campaign {camp.id!r}: technique {tech_id!r} is not tagged "
-                        f"with tactic {tactic_id!r}"
-                    )
+                # A technique's tags are declared tactics, so this catches an undeclared one too.
+                if tech is None or tactic_id not in tech.tactics:
+                    raise InvariantError(self._misuse(camp))
+
+    def _misuse(self, camp: Campaign) -> str:
+        """The fault of the campaign's first bad usage pair in sorted order.
+
+        ``uses`` is a frozenset, whose order follows the hash seed; sorting
+        names the same pair in every process.
+        """
+        for tactic_id, tech_id in sorted(camp.uses):
+            tech = self.techniques.get(tech_id)
+            if tactic_id not in {t.id for t in self.tactics}:
+                return f"campaign {camp.id!r}: uses undeclared tactic {tactic_id!r}"
+            if tech is None:
+                return f"campaign {camp.id!r}: uses undeclared technique {tech_id!r}"
+            if tactic_id not in tech.tactics:
+                return (f"campaign {camp.id!r}: technique {tech_id!r} is not tagged "
+                        f"with tactic {tactic_id!r}")
 
     # -- hierarchy helpers ------------------------------------------------
 

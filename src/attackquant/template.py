@@ -10,6 +10,7 @@ the same campaign data.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterable
 
 from .errors import UndefinedIndexError
 from .metrics import SECURITY_INDEX, neg_log
@@ -156,23 +157,23 @@ def compare_all(
     difficulty: Difficulty = Difficulty.DEFAULT,
     probs: ProbMatrix | None = None,
 ) -> list[tuple[str, float | None]]:
-    """Index per campaign, ascending; undefined (no usage) sorted last by id."""
+    """Index per campaign, in :func:`rank` order; None where it is undefined (no usage)."""
     if probs is None:
         probs = likelihoods(snapshot)
     template = build_template(snapshot, difficulty)
-    defined: list[tuple[str, float]] = []
-    undefined: list[str] = []
+    indices: list[tuple[str, float | None]] = []
     for campaign_id in snapshot.campaigns:
         try:
             index = campaign_index(snapshot, campaign_id, difficulty, probs, template)
         except UndefinedIndexError:
-            undefined.append(campaign_id)
-            continue
-        defined.append((campaign_id, index))
-    defined.sort(key=lambda kv: (kv[1], kv[0]))
-    result: list[tuple[str, float | None]] = list(defined)
-    result.extend((cid, None) for cid in sorted(undefined))
-    return result
+            index = None
+        indices.append((campaign_id, index))
+    return rank(indices)
+
+
+def rank(indices: Iterable[tuple[str, float | None]]) -> list[tuple[str, float | None]]:
+    """(campaign id, index) pairs by ascending index, then id; undefined (None) last."""
+    return sorted(indices, key=lambda kv: (kv[1] is None, 0.0 if kv[1] is None else kv[1], kv[0]))
 
 
 def instantiate(

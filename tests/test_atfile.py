@@ -8,7 +8,6 @@ from attackquant import (
     AtDocument,
     GateType,
     InvariantError,
-    MissingAttributionError,
     ParseError,
     UnknownEntityError,
     read_at,
@@ -51,19 +50,15 @@ def test_wocao_entry_document_shape(entry_doc):
 
 
 def test_point_and_interval_views(entry_doc, intervals_doc):
-    assert not entry_doc.has_intervals("maxprob")
-    assert intervals_doc.has_intervals("maxprob")
-    point = entry_doc.point_attribution("maxprob")
+    point = entry_doc.attribution("maxprob")
     assert point == {"CVE1": 0.5, "CVE2": 0.5, "GVC": 0.5, "CVP": 0.5}
-    spans = intervals_doc.interval_attribution("maxprob")
+    spans = intervals_doc.attribution("maxprob")
     assert spans["CVE1"] == (0.1, 0.3)
-    assert spans["CVE2"] == (0.2, 0.2)
-    with pytest.raises(MissingAttributionError):
-        intervals_doc.point_attribution("maxprob")
+    assert spans["CVE2"] == 0.2
 
 
 def test_security_index_is_derived_with_swapped_ends(intervals_doc):
-    spans = intervals_doc.interval_attribution("security-index")
+    spans = intervals_doc.attribution("security-index")
     lo, hi = spans["CVE1"]
     assert lo == pytest.approx(-math.log(0.3), abs=1e-12)
     assert hi == pytest.approx(-math.log(0.1), abs=1e-12)
@@ -72,20 +67,20 @@ def test_security_index_is_derived_with_swapped_ends(intervals_doc):
 
 def test_security_index_of_certain_step_is_plain_zero():
     doc = doc_from(leaf_file(prob=1.0))
-    lo, hi = doc.interval_attribution("security-index")["x"]
-    assert lo == hi == 0.0
-    assert math.copysign(1.0, lo) == 1.0
+    value = doc.attribution("security-index")["x"]
+    assert value == 0.0
+    assert math.copysign(1.0, value) == 1.0
 
 
 def test_security_index_of_impossible_step_is_infinite():
     doc = doc_from(leaf_file(prob=0.0))
-    assert doc.interval_attribution("security-index")["x"] == (math.inf, math.inf)
+    assert doc.attribution("security-index")["x"] == math.inf
 
 
 def test_attributions_collects_loads(entry_doc):
     maps = entry_doc.attributions()
     assert set(maps) == {"maxprob", "security-index", "mincost"}
-    assert maps["mincost"]["GVC"] == (11.0, 11.0)
+    assert maps["mincost"]["GVC"] == 11.0
 
 
 def test_unknown_load_in_attrs():
@@ -224,4 +219,4 @@ def test_document_construction_from_scratch(tmp_path):
     write_at(doc, str(out))
     again = read_at(str(out))
     assert again.tree.root == "InA"
-    assert again.point_attribution("maxprob")["GVC"] == 0.5
+    assert again.attribution("maxprob")["GVC"] == 0.5

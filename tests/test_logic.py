@@ -539,7 +539,7 @@ def test_formula_metric_unsatisfiable_yields_unit():
 
 
 def test_formula_metric_interval(intervals_doc):
-    spans = intervals_doc.interval_attribution("maxprob")
+    spans = intervals_doc.attribution("maxprob")
     got = formula_metric(intervals_doc.tree, spans, MAX_PROB, parse("CVE1 | CVE2"))
     assert got == (0.2, 0.3)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,29 @@ def test_wocao_entry_interval():
     assert interval_attack_metric(MAX_PROB, spans, {"GVC", "CVP"}) == (0.25, 0.81)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"CVE1": 8.0, "CVE2": 3.0, "GVC": 11.0, "CVP": 1.0},
+        {"CVE1": 8.0, "CVE2": (3.0, 5.0), "GVC": 11.0, "CVP": 1.0},
+        {"CVE1": (8.0, 8.0), "CVE2": (3.0, 3.0), "GVC": (11.0, 11.0), "CVP": (1.0, 1.0)},
+        {"CVE1": (2.0, 8.0), "CVE2": (3.0, 5.0), "GVC": (9.0, 11.0), "CVP": (1.0, 4.0)},
+    ],
+    ids=["numbers", "one-pair", "equal-ends", "pairs"],
+)
+@pytest.mark.parametrize("formula", [None, "EVJ | GVC", "InA & !CVE2"])
+def test_number_exactly_when_no_value_is_a_pair(values, formula):
+    tree = wocao_entry_tree()
+    if formula is None:
+        value = interval_tree_metric(MIN_COST, values, tree)
+    else:
+        value = formula_metric(tree, values, MIN_COST, parse(formula))
+    if any(isinstance(v, tuple) for v in values.values()):
+        assert isinstance(value, tuple) and len(value) == 2 and value[0] <= value[1]
+    else:
+        assert isinstance(value, float)
+
+
 def test_get_load():
     assert get_load("mincost") is MIN_COST
     assert get_load("security-index") is SECURITY_INDEX
@@ -98,7 +122,7 @@ def test_load_laws(load):
     min/max identities hold exactly; + and * associativity only up to
     rounding, hence the relative tolerance there.
     """
-    rng = random.Random(hash(load.name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(load.name.encode()))
     lo, hi = load.domain
     hi = min(hi, 1e6)
 

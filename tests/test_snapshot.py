@@ -2,12 +2,16 @@ import copy
 import io
 import json
 import math
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import attackquant
 from attackquant import (
     Campaign,
     InvariantError,
@@ -254,6 +258,27 @@ def test_construction_invariants():
             [Technique("T", "T", None, ("A",))],
             [Campaign("C", "C", frozenset({("B", "T")}))],
         )
+
+
+def test_invariant_message_does_not_follow_the_hash_seed():
+    # Several bad usage pairs: every process names the first in sorted order.
+    code = (
+        "from attackquant import Campaign, KnowledgeSnapshot, Tactic, Technique\n"
+        "uses = frozenset([('A', f'X{i}') for i in range(8)] + [('B', 'T')])\n"
+        "try:\n"
+        "    KnowledgeSnapshot('v', [Tactic('A', 'A'), Tactic('B', 'B')],\n"
+        "                      [Technique('T', 'T', None, ('A',))], [Campaign('C', 'C', uses)])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = pathlib.Path(attackquant.__file__).parents[1]
+    runs = [
+        subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                         env={"PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)})
+        for seed in range(4)
+    ]
+    outputs = {run.communicate(timeout=30)[0] for run in runs}
+    assert outputs == {"InvariantError campaign 'C': uses undeclared technique 'X0'\n"}
 
 
 def test_version_preserved(toy):
