@@ -18,7 +18,6 @@ from .catm import (
     Or,
     TruthValue,
     Xiff,
-    check_assignment_target,
     eval_layer1,
     eval_layer2,
     formula_metric,

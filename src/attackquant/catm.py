@@ -27,7 +27,7 @@ extends as far right as possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count
 from typing import AbstractSet, Iterable, Mapping
@@ -59,20 +59,12 @@ def kleene_and(a: TruthValue, b: TruthValue) -> TruthValue:
     return TruthValue(min(a.value, b.value))
 
 
-def kleene_or(a: TruthValue, b: TruthValue) -> TruthValue:
-    return TruthValue(max(a.value, b.value))
-
-
 # -- AST --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Formula:
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
+    """Base of the AST node types."""
 
 
 @dataclass(frozen=True)
@@ -380,38 +372,13 @@ def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bo
 # -- layer 2 ----------------------------------------------------------------
 
 
-def check_assignment_target(tree: AttackTree, formula: Formula, target: str) -> str | None:
-    """None if the target may be assigned; otherwise the violated condition.
-
-    A BAS is always assignable.  An intermediate node must be a module
-    and must not dominate any atom of the body: the assignment treats it
-    as a leaf, so nothing in the formula may look below it.
-    """
-    node = tree.node(target)
-    if node.type is GateType.BAS:
-        return None
-    if not tree.is_module(target):
-        return f"assignment target {target!r} is not a module"
-    below = tree.descendants(target) & atoms(formula)
-    if below:
-        inside = ", ".join(sorted(below))
-        return (
-            f"formula references {inside} below assignment target {target!r}"
-        )
-    return None
-
-
 def _collapse(tree: AttackTree, target: str) -> AttackTree:
     """Replace a module's subtree by a single BAS with the module's id."""
     cone = tree.descendants(target)
-    nodes = []
-    for node in tree.nodes.values():
-        if node.id in cone:
-            continue
-        if node.id == target:
-            nodes.append(Node(node.id, GateType.BAS, (), node.label, node.tactic, node.technique))
-        else:
-            nodes.append(node)
+    nodes = [
+        replace(node, type=GateType.BAS, children=()) if node.id == target else node
+        for node in tree.nodes.values() if node.id not in cone
+    ]
     return AttackTree(nodes, tree.root)
 
 
@@ -494,16 +461,23 @@ def _metric_verdict(tree: AttackTree, attack: frozenset[str], maps: Attributions
 
 def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
               assign: Assign) -> tuple[AttackTree, frozenset[str], Attributions]:
-    """Tree, attack and attributions that an assignment's body sees."""
+    """Tree, attack and attributions that an assignment's body sees.
+
+    A BAS is always assignable.  An intermediate node must be a module
+    and must not dominate any atom of the body: the assignment treats it
+    as a leaf, so nothing in the formula may look below it.
+    """
     target, low, high = assign.target, assign.low, assign.high
     if low > high:
         raise FormulaError(f"assignment to {target!r}: bounds out of order [{low:g}, {high:g}]")
-    violation = check_assignment_target(tree, assign.body, target)
-    if violation:
-        raise FormulaError(violation)
     if tree.node(target).type is not GateType.BAS:
-        succeeded = tree.structure_function(target, attack)
+        if not tree.is_module(target):
+            raise FormulaError(f"assignment target {target!r} is not a module")
         cone = tree.descendants(target)
+        if below := cone & atoms(assign.body):
+            raise FormulaError(f"formula references {', '.join(sorted(below))} "
+                               f"below assignment target {target!r}")
+        succeeded = tree.structure_function(target, attack)
         attack = (attack - cone) | ({target} if succeeded else frozenset())
         tree = _collapse(tree, target)
     return tree, attack, {name: {**entries, target: (low, high)} for name, entries in maps.items()}

@@ -125,8 +125,7 @@ def compare(snapshots: tuple[str, ...], difficulty: str, out: str,
     level = Difficulty(difficulty)
     table: dict[str, tuple[str, dict[Difficulty, float | None]]] = {}
     for snap in loaded:
-        probs = likelihoods(snap)
-        index_at = {d: dict(compare_all(snap, d, probs)) for d in Difficulty}
+        index_at = {d: dict(compare_all(snap, d)) for d in Difficulty}
         for campaign_id in index_at[level]:
             if campaign_id in table:
                 raise InvariantError(

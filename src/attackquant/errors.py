@@ -48,7 +48,6 @@ class FormulaError(AttackQuantError):
 
     def __init__(self, message: str, pos: int | None = None):
         super().__init__(message if pos is None else f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class UndefinedIndexError(AttackQuantError):

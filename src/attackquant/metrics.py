@@ -12,11 +12,12 @@ Two folds compute every metric: :meth:`AttackTree.fold` with nabla at OR
 and delta at AND/SAND, the bottom-up pass over a tree-structured cone
 (also the campaign security index, with unused subtrees absent), and
 :func:`cuts_metric`, nabla over a family of attacks.  :func:`tree_metric`
-picks between them by the tree's shape alone.  A negation-free formula's
-metric is :func:`tree_metric` of the formula grafted onto the tree (see
-``catm.formula_metric``); only a formula with real negations folds
-:func:`cuts_metric` over its minimal satisfying sets directly.
-:func:`by_endpoints` decides whether a metric is a number or an interval.
+(of the root) picks between them by the tree's shape alone.  The metric of
+a node, or of a negation-free formula, is :func:`tree_metric` of its atom
+or formula grafted onto the tree (``catm.formula_metric``); only a formula
+with real negations folds :func:`cuts_metric` over its minimal satisfying
+sets directly.  :func:`by_endpoints` decides whether a metric is a number
+or an interval; the point folds refuse a (lo, hi) value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import InvariantError, MissingAttributionError, UnknownEntityError
 from .tree import AttackTree
 
 Interval = tuple[float, float]
+_POINT_ONLY = "; for (lo, hi) values use interval_tree_metric"
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,14 @@ class Load:
 
     def check_value(self, value: float, where: str) -> float:
         lo, hi = self.domain
-        if not (lo <= value <= hi):
-            raise InvariantError(
-                f"{where}: value {value!r} outside the {self.name} domain [{lo}, {hi}]"
-            )
-        return value
+        try:
+            if lo <= value <= hi:
+                return value
+        except TypeError:
+            raise InvariantError(f"{where}: value {value!r} is not a number{_POINT_ONLY}") from None
+        raise InvariantError(
+            f"{where}: value {value!r} outside the {self.name} domain [{lo}, {hi}]"
+        )
 
 
 MIN_COST = Load("mincost", min, operator.add, math.inf, 0.0, (0.0, math.inf))
@@ -102,9 +107,8 @@ def cuts_metric(load: Load, attr: Mapping[str, float], cuts: Iterable[Collection
     )
 
 
-def tree_metric(load: Load, attr: Mapping[str, float], tree: AttackTree,
-                node_id: str | None = None) -> float:
-    """nabla over the node's minimal attacks of their delta-folds.
+def tree_metric(load: Load, attr: Mapping[str, float], tree: AttackTree) -> float:
+    """nabla over the root's minimal attacks of their delta-folds.
 
     On a tree-structured tree this is the linear-time bottom-up
     :meth:`AttackTree.fold`.  On a DAG, where that pass would count a
@@ -112,12 +116,10 @@ def tree_metric(load: Load, attr: Mapping[str, float], tree: AttackTree,
     enumerated minimal attacks (exponential in the worst case).
     """
     tree.require_valid()
-    target = tree.root if node_id is None else node_id
-    tree.node(target)
     if not tree.is_tree_structured:
-        return cuts_metric(load, attr, tree.minimal_attacks(target))
+        return cuts_metric(load, attr, tree.minimal_attacks())
     return tree.fold(
-        target, lambda node: _value(attr, node.id, load), load.fold_nabla, load.fold_delta
+        tree.root, lambda node: _value(attr, node.id, load), load.fold_nabla, load.fold_delta
     )
 
 
@@ -159,26 +161,34 @@ def by_endpoints(metric: Callable[[Mapping[str, float]], float],
     return metric(lows), metric(highs)
 
 
-def interval_tree_metric(load: Load, iattr: Mapping[str, float | Interval], tree: AttackTree,
-                         node_id: str | None = None) -> float | Interval:
+def interval_tree_metric(load: Load, iattr: Mapping[str, float | Interval],
+                         tree: AttackTree) -> float | Interval:
     """:func:`tree_metric` under values that may be (lo, hi) pairs; see :func:`by_endpoints`."""
-    return by_endpoints(lambda attr: tree_metric(load, attr, tree, node_id), iattr)
+    return by_endpoints(lambda attr: tree_metric(load, attr, tree), iattr)
 
 
 def neg_log(p: float) -> float:
-    """-ln p, with p = 0 mapped to infinity (and p = 1 to plain +0.0)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError(f"probability {p!r} outside [0, 1]")
-    return math.inf if p == 0.0 else -math.log(p) + 0.0
+    """-ln p of a number p in [0, 1], with p = 0 mapped to infinity (and p = 1 to plain +0.0)."""
+    try:
+        if 0.0 <= p <= 1.0:
+            return math.inf if p == 0.0 else -math.log(p) + 0.0
+    except TypeError:
+        raise InvariantError(f"probability {p!r} is not a number{_POINT_ONLY}") from None
+    raise InvariantError(f"probability {p!r} outside [0, 1]")
 
 
-def security_index(tree: AttackTree, prob_attr: Mapping[str, float],
-                   node_id: str | None = None) -> float:
+def security_index(tree: AttackTree, prob_attr: Mapping[str, float]) -> float:
     """-ln of the max-probability metric, computed in the log domain.
 
     Working with (min, +) over -ln p avoids product underflow on big
     trees; the two readings agree because -ln is a monotone isomorphism
-    between ([0,1], max, *) and ([0,inf], min, +).
+    between ([0,1], max, *) and ([0,inf], min, +).  A value that is not a
+    probability is an InvariantError naming its leaf.
     """
-    beta = {step: neg_log(p) for step, p in prob_attr.items()}
-    return tree_metric(SECURITY_INDEX, beta, tree, node_id)
+    beta = {}
+    for step, p in prob_attr.items():
+        try:
+            beta[step] = neg_log(p)
+        except InvariantError as exc:
+            raise InvariantError(f"leaf {step!r}: {exc}") from None
+    return tree_metric(SECURITY_INDEX, beta, tree)

@@ -87,6 +87,7 @@ class KnowledgeSnapshot:
         self._subs: dict[str, tuple[str, ...]] = {}
         # campaign id -> tactic id -> normalized leaf usage, filled on demand
         self._usage: dict[str, dict[str, frozenset[str]]] = {}
+        self._likelihoods: ProbMatrix | None = None  # filled by likelihoods()
         self._check()
 
     def _check(self) -> None:
@@ -140,11 +141,6 @@ class KnowledgeSnapshot:
 
     def subtechniques_of(self, tech_id: str) -> tuple[str, ...]:
         return self._subs.get(tech_id, ())
-
-    def is_leaf_technique(self, tech_id: str) -> bool:
-        """Leaf = subtechnique, or parent technique with no subtechniques."""
-        tech = self.technique(tech_id)
-        return tech.parent is not None or not self.subtechniques_of(tech_id)
 
     def technique(self, tech_id: str) -> Technique:
         try:
@@ -213,8 +209,7 @@ class ProbMatrix:
     """Per-tactic technique likelihoods, kept as exact fractions."""
 
     def __init__(self, snapshot: KnowledgeSnapshot):
-        self.version = snapshot.version
-        self._snapshot = snapshot
+        self._techniques = snapshot.techniques  # not the snapshot, which keeps this matrix
         self._counts: dict[str, Counter[str]] = {}
         self._totals: dict[str, int] = {}
         for tactic in snapshot.tactics:
@@ -228,7 +223,8 @@ class ProbMatrix:
         """(uses of the leaf, all leaf uses) under one tactic, checked."""
         if tactic_id not in self._counts:
             raise UnknownEntityError(f"unknown tactic {tactic_id!r}")
-        self._snapshot.technique(tech_id)
+        if tech_id not in self._techniques:
+            raise UnknownEntityError(f"unknown technique {tech_id!r}")
         total = self._totals[tactic_id]
         if total == 0:
             raise UnknownEntityError(
@@ -245,22 +241,21 @@ class ProbMatrix:
         count, total = self._count(tech_id, tactic_id)
         return count / total
 
-    def observed_tactics(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self._snapshot.tactics if self._totals[t.id] > 0)
-
     def entries(self) -> list[tuple[str, str, Fraction]]:
         """Non-zero (technique, tactic, probability) rows, deterministic order."""
         return [
-            (tech_id, tactic.id, self.prob(tech_id, tactic.id))
-            for tactic in self._snapshot.tactics
-            if self._totals[tactic.id]
-            for tech_id in sorted(self._counts[tactic.id])
+            (tech_id, tactic_id, self.prob(tech_id, tactic_id))
+            for tactic_id, counter in self._counts.items()  # in tactic order
+            if self._totals[tactic_id]
+            for tech_id in sorted(counter)
         ]
 
 
 def likelihoods(snapshot: KnowledgeSnapshot) -> ProbMatrix:
-    """Technique likelihoods per tactic over all campaigns in the snapshot."""
-    return ProbMatrix(snapshot)
+    """Technique likelihoods per tactic over all campaigns, built once and kept on the snapshot."""
+    if snapshot._likelihoods is None:
+        snapshot._likelihoods = ProbMatrix(snapshot)
+    return snapshot._likelihoods
 
 
 def used_pairs(snapshot: KnowledgeSnapshot, campaign_id: str) -> frozenset[tuple[str, str]]:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import UndefinedIndexError
 from .metrics import SECURITY_INDEX, neg_log
-from .snapshot import KnowledgeSnapshot, ProbMatrix, likelihoods, used_pairs
+from .snapshot import KnowledgeSnapshot, likelihoods, used_pairs
 from .tree import AttackTree, GateType, Node
 
 ROOT_ID = "campaign"
@@ -99,7 +99,7 @@ def campaign_index(
     snapshot: KnowledgeSnapshot,
     campaign_id: str,
     difficulty: Difficulty = Difficulty.DEFAULT,
-    probs: ProbMatrix | None = None,
+    *,
     template: AttackTree | None = None,
 ) -> float:
     """Security index of one campaign on the difficulty's template.
@@ -111,11 +111,11 @@ def campaign_index(
     leaves and evaluating the security index there: it is the same
     :meth:`~attackquant.tree.AttackTree.fold`, restricted to the cone
     above the used leaves, so the cost follows the campaign's usage, not
-    the template's size.
+    the template's size.  ``template`` is the difficulty's
+    :func:`build_template`, for callers that index many campaigns.
     """
     snapshot.campaign(campaign_id)
-    if probs is None:
-        probs = likelihoods(snapshot)
+    probs = likelihoods(snapshot)
     tree = build_template(snapshot, difficulty) if template is None else template
     nodes = tree.nodes
     used = []
@@ -138,33 +138,23 @@ def campaign_index(
     )
 
 
-def security_range(
-    snapshot: KnowledgeSnapshot,
-    campaign_id: str,
-    probs: ProbMatrix | None = None,
-) -> tuple[float, float]:
+def security_range(snapshot: KnowledgeSnapshot, campaign_id: str) -> tuple[float, float]:
     """(EASY, HARD) index pair bounding every difficulty in between."""
-    if probs is None:
-        probs = likelihoods(snapshot)
     return (
-        campaign_index(snapshot, campaign_id, Difficulty.EASY, probs),
-        campaign_index(snapshot, campaign_id, Difficulty.HARD, probs),
+        campaign_index(snapshot, campaign_id, Difficulty.EASY),
+        campaign_index(snapshot, campaign_id, Difficulty.HARD),
     )
 
 
 def compare_all(
-    snapshot: KnowledgeSnapshot,
-    difficulty: Difficulty = Difficulty.DEFAULT,
-    probs: ProbMatrix | None = None,
+    snapshot: KnowledgeSnapshot, difficulty: Difficulty = Difficulty.DEFAULT
 ) -> list[tuple[str, float | None]]:
     """Index per campaign, in :func:`rank` order; None where it is undefined (no usage)."""
-    if probs is None:
-        probs = likelihoods(snapshot)
     template = build_template(snapshot, difficulty)
     indices: list[tuple[str, float | None]] = []
     for campaign_id in snapshot.campaigns:
         try:
-            index = campaign_index(snapshot, campaign_id, difficulty, probs, template)
+            index = campaign_index(snapshot, campaign_id, difficulty, template=template)
         except UndefinedIndexError:
             index = None
         indices.append((campaign_id, index))
@@ -177,15 +167,11 @@ def rank(indices: Iterable[tuple[str, float | None]]) -> list[tuple[str, float |
 
 
 def instantiate(
-    snapshot: KnowledgeSnapshot,
-    campaign_id: str,
-    difficulty: Difficulty = Difficulty.DEFAULT,
-    probs: ProbMatrix | None = None,
+    snapshot: KnowledgeSnapshot, campaign_id: str, difficulty: Difficulty = Difficulty.DEFAULT
 ) -> tuple[AttackTree, dict[str, float]]:
     """Pruned template for one campaign plus its leaf probabilities."""
     snapshot.campaign(campaign_id)
-    if probs is None:
-        probs = likelihoods(snapshot)
+    probs = likelihoods(snapshot)
     template = build_template(snapshot, difficulty)
     used = used_pairs(snapshot, campaign_id)
     live = {leaf_node_id(tech, tactic) for tech, tactic in used}

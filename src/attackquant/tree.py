@@ -8,7 +8,7 @@ semantics here does not otherwise exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from types import MappingProxyType
@@ -283,29 +283,24 @@ class AttackTree:
             self._bas_order = tuple(sorted(self.bas_ids))
         return self._bas_order
 
-    def cut_masks(self, node_id: str) -> list[int]:
-        """Minimal attacks of a node as bitmasks over :attr:`bas_order`.
+    def minimal_attacks(self) -> frozenset[Attack]:
+        """Subset-minimal attacks compromising the root.
 
-        Computed bottom-up over the node's descendant cone with
+        Computed bottom-up as bitmasks over :attr:`bas_order`, with
         subsumption elimination at every gate, so shared subtrees in DAGs
-        cannot smuggle non-minimal products into the result.  The list
-        returned is the tree's cache of that node's family: do not mutate it.
+        cannot smuggle non-minimal products into the result.  Each gate's
+        family is kept on the tree for later calls.
         """
         self.require_valid()
-        self.node(node_id)
         bit = {b: 1 << i for i, b in enumerate(self.bas_order)}
-        return self.fold(
-            node_id,
+        masks = self.fold(
+            self.root,
             lambda node: [bit[node.id]],
             lambda families: _minimize(m for family in families for m in family),
             lambda families: reduce(_cross, families, [0]),
             values=self._cut_bits,
         )
-
-    def minimal_attacks(self, node_id: str | None = None) -> frozenset[Attack]:
-        """Subset-minimal attacks compromising the node (default: root)."""
-        target = self.root if node_id is None else node_id
-        return _decode(self.cut_masks(target), self.bas_order)
+        return _decode(masks, self.bas_order)
 
     def is_module(self, node_id: str) -> bool:
         """Whether every path between the node's cone and the rest runs through it."""
@@ -333,15 +328,9 @@ class AttackTree:
         if self.root not in kept:
             raise InvariantError("empty campaign: pruning would remove the root")
         # Every kept node stays connected: its ancestors are kept too.
-        new_nodes = []
-        for node in self._nodes.values():
-            if node.id not in kept:
-                continue
-            if node.type is GateType.BAS:
-                new_nodes.append(node)
-            else:
-                children = tuple(c for c in node.children if c in kept)
-                new_nodes.append(
-                    Node(node.id, node.type, children, node.label, node.tactic, node.technique)
-                )
+        new_nodes = [
+            node if node.type is GateType.BAS
+            else replace(node, children=tuple(c for c in node.children if c in kept))
+            for node in self._nodes.values() if node.id in kept
+        ]
         return AttackTree(new_nodes, self.root)

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from attackquant.catm import TruthValue
 from attackquant.metrics import Load
 from attackquant.snapshot import Campaign, KnowledgeSnapshot, Tactic, Technique
 from attackquant.tree import AttackTree, GateType, Node
@@ -25,6 +26,17 @@ WOCAO_ENTRY_NODES = [
 
 def wocao_entry_tree() -> AttackTree:
     return AttackTree(WOCAO_ENTRY_NODES, "InA")
+
+
+def cone_tree(tree: AttackTree, node_id: str) -> AttackTree:
+    """The node's cone as a tree of its own, rooted at the node."""
+    cone = tree.below([node_id])
+    return AttackTree([n for nid, n in tree.nodes.items() if nid in cone], node_id)
+
+
+def kleene_or(a: TruthValue, b: TruthValue) -> TruthValue:
+    """Strong Kleene disjunction: the oracle for ``|``, which the parser desugars."""
+    return max(a, b, key=lambda v: v.value)
 
 
 def random_tree(rng: random.Random, max_leaves: int = 10, dag: bool = False) -> AttackTree:

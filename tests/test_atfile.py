@@ -168,6 +168,7 @@ def test_shape_violations(fields):
         '{"format": "at/1", "root": "x", "nodes": {}}',
         '{"format": "at/1", "root": "x", "nodes": [{"id": "x", "type": "NOR"}]}',
         '{"format": "at/1", "root": "x", "nodes": [{"type": "BAS"}]}',
+        '{"format": "at/1", "root": "x", "nodes": [4]}',
     ],
 )
 def test_document_level_parse_errors(payload):

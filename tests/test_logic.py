@@ -29,9 +29,11 @@ from attackquant import (
     parse,
     read_at,
 )
-from attackquant.catm import kleene_and, kleene_not, kleene_or, layer_of
+from attackquant.catm import kleene_and, kleene_not, layer_of
 from attackquant.metrics import BUILTIN_LOADS, MAX_PROB, MIN_COST, tree_metric
-from helpers import AND, BAS, OR, random_attribution, random_tree, wocao_entry_tree
+from helpers import (
+    AND, BAS, OR, cone_tree, kleene_or, random_attribution, random_tree, wocao_entry_tree,
+)
 
 T, M, F = TruthValue.TRUE, TruthValue.MAYBE, TruthValue.FALSE
 
@@ -129,6 +131,8 @@ def test_layer_classification():
     # bare atoms cannot float around at layer 2
     with pytest.raises(FormulaError):
         layer_of(parse("a & metric(mincost, b) <= 3"))
+    with pytest.raises(FormulaError, match=r"^metric\(\.\.\.\) bodies must be layer-1 formulas$"):
+        layer_of(parse("metric(mincost, metric(maxprob, A) <= 1) <= 2"))
 
 
 # -- layer 1 -----------------------------------------------------------------
@@ -366,7 +370,7 @@ def test_assign_rejects_non_module(intervals_doc):
         "root",
     )
     attrs = {"maxprob": {"b": (0.5, 0.5), "c": (0.5, 0.5)}}
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError, match=r"^assignment target 'g' is not a module$"):
         eval_layer2(
             tree,
             {"b", "c"},
@@ -376,7 +380,8 @@ def test_assign_rejects_non_module(intervals_doc):
 
 
 def test_assign_rejects_formula_peeking_below_target(intervals_doc):
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError,
+                       match=r"^formula references CVE1 below assignment target 'EVJ'$"):
         verdict(
             intervals_doc,
             "set EVJ = [0.1, 0.2] in metric(maxprob, CVE1) <= 1",
@@ -527,7 +532,7 @@ def test_atom_metric_equals_node_metric():
             attr = random_attribution(rng, tree, load)
             for nid in tree.nodes:
                 assert formula_metric(tree, attr, load, Atom(nid)) == tree_metric(
-                    load, attr, tree, nid
+                    load, attr, cone_tree(tree, nid)
                 )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attackquant import (
+    Atom,
     AttackTree,
     InvariantError,
     MissingAttributionError,
@@ -18,6 +19,7 @@ from attackquant import (
     interval_tree_metric,
     neg_log,
     parse,
+    read_at,
     security_index,
     tree_metric,
 )
@@ -225,9 +227,9 @@ def test_bottom_up_evaluates_a_5000_deep_or_chain():
 
 def test_tree_metric_at_inner_node():
     tree = wocao_entry_tree()
-    assert tree_metric(MIN_COST, ENTRY_COSTS, tree, node_id="VPN") == 12.0
-    assert tree_metric(MIN_COST, ENTRY_COSTS, tree, node_id="EVJ") == 3.0
-    assert tree_metric(MAX_PROB, ENTRY_PROBS, tree, node_id="VPN") == 0.25
+    assert formula_metric(tree, ENTRY_COSTS, MIN_COST, Atom("VPN")) == 12.0
+    assert formula_metric(tree, ENTRY_COSTS, MIN_COST, Atom("EVJ")) == 3.0
+    assert formula_metric(tree, ENTRY_PROBS, MAX_PROB, Atom("VPN")) == 0.25
 
 
 def test_unsatisfiable_node_yields_nabla_unit():
@@ -330,6 +332,27 @@ def test_neg_log():
         neg_log(-0.1)
     with pytest.raises(InvariantError):
         neg_log(1.1)
+
+
+@pytest.mark.parametrize(
+    "evaluate, leaf",
+    [
+        pytest.param(lambda tree, attr: tree_metric(MAX_PROB, attr, tree), "CVE1",
+                     id="tree_metric"),
+        pytest.param(lambda tree, attr: attack_metric(MAX_PROB, attr, {"GVC", "CVP"}), "CVP",
+                     id="attack_metric"),
+        pytest.param(lambda tree, attr: cuts_metric(MAX_PROB, attr, tree.minimal_attacks()),
+                     "CVE1", id="cuts_metric"),
+        pytest.param(lambda tree, attr: security_index(tree, attr), "CVE1", id="security_index"),
+    ],
+)
+def test_interval_values_in_point_metrics_are_a_typed_error(fixtures, evaluate, leaf):
+    doc = read_at(str(fixtures / "wocao-initial-access-intervals.at.json"))
+    with pytest.raises(InvariantError, match=(
+        rf"^leaf '{leaf}': (value|probability) \(0\.\d, 0\.\d\) is not a number; "
+        r"for \(lo, hi\) values use interval_tree_metric$"
+    )):
+        evaluate(doc.tree, doc.attribution("maxprob"))
 
 
 @given(

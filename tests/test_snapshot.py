@@ -75,7 +75,7 @@ def test_tactic_without_usage_has_no_likelihoods():
     assert probs.prob("P", "A1") == 1
     with pytest.raises(UnknownEntityError):
         probs.prob("P", "A2")
-    assert probs.observed_tactics() == ("A1",)
+    assert {tactic for _, tactic, _ in probs.entries()} == {"A1"}
 
 
 def test_normalization_cases():
@@ -143,9 +143,6 @@ def test_campaign_matrix(toy):
 def test_subtechnique_helpers(miniature):
     assert miniature.subtechniques_of("E2") == ("E2.1", "E2.2", "E2.3")
     assert miniature.subtechniques_of("E1") == ()
-    assert miniature.is_leaf_technique("E1")
-    assert not miniature.is_leaf_technique("E2")
-    assert miniature.is_leaf_technique("E2.1")
 
 
 def test_accessor_errors(toy):
@@ -260,6 +257,30 @@ def test_construction_invariants():
         )
 
 
+@pytest.mark.parametrize(
+    "tactics, techniques, campaigns, message",
+    [
+        pytest.param([], [Technique("T", "T", None, ()), Technique("T", "T", None, ())], [],
+                     "duplicate technique id 'T'", id="duplicate technique"),
+        pytest.param([], [], [Campaign("C", "C", frozenset()), Campaign("C", "C", frozenset())],
+                     "duplicate campaign id 'C'", id="duplicate campaign"),
+        pytest.param([Tactic("A", "A")], [Technique("T", "T", None, ("B",))], [],
+                     "technique 'T': undeclared tactic 'B'", id="undeclared tactic tag"),
+        pytest.param([Tactic("A", "A")], [Technique("T", "T", None, ("A",))],
+                     [Campaign("C", "C", frozenset({("Z", "T")}))],
+                     "campaign 'C': uses undeclared tactic 'Z'", id="usage of undeclared tactic"),
+        pytest.param([Tactic("A", "A")], [Technique("T", "T", None, ("A",))],
+                     [Campaign("C", "C", frozenset({("A", "X")}))],
+                     "campaign 'C': uses undeclared technique 'X'",
+                     id="usage of undeclared technique"),
+    ],
+)
+def test_construction_invariant_messages(tactics, techniques, campaigns, message):
+    with pytest.raises(InvariantError) as caught:
+        KnowledgeSnapshot("v", tactics, techniques, campaigns)
+    assert str(caught.value) == message
+
+
 def test_invariant_message_does_not_follow_the_hash_seed():
     # Several bad usage pairs: every process names the first in sorted order.
     code = (
@@ -283,8 +304,22 @@ def test_invariant_message_does_not_follow_the_hash_seed():
 
 def test_version_preserved(toy):
     assert toy.version
+    buf = io.StringIO()
+    save_snapshot(toy, buf)
+    buf.seek(0)
+    assert load_snapshot(buf).version == toy.version
+
+
+def test_likelihoods_are_kept_on_the_snapshot(toy, miniature):
     probs = likelihoods(toy)
-    assert probs.version == toy.version
+    assert likelihoods(toy) is probs
+    assert likelihoods(miniature) is not probs
+    assert toy._likelihoods is probs
+    # A copy of the same data is a new snapshot with a matrix of its own.
+    again = KnowledgeSnapshot(toy.version, toy.tactics, toy.techniques.values(),
+                              toy.campaigns.values())
+    assert likelihoods(again) is not probs
+    assert likelihoods(again).entries() == probs.entries()
 
 
 # -- loader error table --------------------------------------------------------

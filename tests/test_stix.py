@@ -179,6 +179,34 @@ def test_untagged_technique_usage_dropped_with_warning(caplog):
     assert any("no tactic tag" in r.message for r in caplog.records)
 
 
+def test_skipped_and_straggling_objects(caplog):
+    no_shortname = {**tactic_obj("TA0009", "collection"), "x_mitre_shortname": 7}
+    no_ext_id = {**campaign_obj("C2"), "external_references": []}
+    no_stix_id = {**campaign_obj("C3"), "id": 3}
+    with caplog.at_level(logging.WARNING, logger="attackquant.stix"):
+        snap = import_stix(
+            bundle(
+                tactic_obj("TA9999", "custom-tactic"),
+                tactic_obj("TA0001", "initial-access"),
+                no_shortname,
+                pattern_obj("T1", ["initial-access", "no-such-tactic"]),
+                campaign_obj("C1"),
+                no_ext_id,
+                no_stix_id,
+                uses("campaign--C1", "attack-pattern--T1"),
+            )
+        )
+    # A shortname outside the Enterprise order sorts after the matrix.
+    assert [t.id for t in snap.tactics] == ["TA0001", "TA9999"]
+    assert snap.technique("T1").tactics == ("TA0001",)
+    assert list(snap.campaigns) == ["C1"]
+    messages = [r.getMessage() for r in caplog.records]
+    assert "skipping tactic without external id/shortname: x-mitre-tactic--TA0009" in messages
+    assert "technique T1: unknown tactic shortname 'no-such-tactic'" in messages
+    assert "skipping campaign without external id: campaign--C2" in messages
+    assert "skipping campaign without string id: 3" in messages
+
+
 @pytest.mark.parametrize("payload", ["{broken", '{"objects": 4}', "[]"])
 def test_malformed_bundles(payload):
     with pytest.raises(ParseError):

@@ -154,14 +154,13 @@ def test_index_equals_pruned_template_evaluation():
     checked = 0
     for _ in range(25):
         snap = random_snapshot(rng)
-        probs = likelihoods(snap)
         for cid in snap.campaigns:
             for diff in Difficulty:
                 try:
-                    direct = campaign_index(snap, cid, diff, probs)
+                    direct = campaign_index(snap, cid, diff)
                 except UndefinedIndexError:
                     continue
-                pruned, attr = instantiate(snap, cid, diff, probs)
+                pruned, attr = instantiate(snap, cid, diff)
                 assert security_index(pruned, attr) == direct
                 checked += 1
     assert checked > 40
@@ -182,11 +181,10 @@ def test_compare_plot_cells_equal_campaign_index(tmp_path):
         with open(tmp_path / f"c{k}.plot.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(row["campaign"] for row in rows) == sorted(snap.campaigns)
-        probs = likelihoods(snap)
         for row in rows:
             for diff in Difficulty:
                 try:
-                    expected = f"{campaign_index(snap, row['campaign'], diff, probs):.6f}"
+                    expected = f"{campaign_index(snap, row['campaign'], diff):.6f}"
                 except UndefinedIndexError:
                     expected = "undefined"
                 assert row[diff.value] == expected
@@ -196,14 +194,13 @@ def test_difficulty_ordering_on_random_snapshots():
     rng = random.Random(808)
     for _ in range(25):
         snap = random_snapshot(rng)
-        probs = likelihoods(snap)
         for cid in snap.campaigns:
             try:
-                easy = campaign_index(snap, cid, Difficulty.EASY, probs)
+                easy = campaign_index(snap, cid, Difficulty.EASY)
             except UndefinedIndexError:
                 continue
-            default = campaign_index(snap, cid, Difficulty.DEFAULT, probs)
-            hard = campaign_index(snap, cid, Difficulty.HARD, probs)
+            default = campaign_index(snap, cid, Difficulty.DEFAULT)
+            hard = campaign_index(snap, cid, Difficulty.HARD)
             assert easy <= default + 1e-12
             assert default <= hard + 1e-12
             assert math.isfinite(hard)
@@ -221,10 +218,10 @@ def test_rank_reversal_between_difficulty_orders():
     probs = likelihoods(snap)
     assert probs.prob("e1", "A") == Fraction(1, 19)
     assert probs.prob("e2", "A") == Fraction(6, 19)
-    x_easy = campaign_index(snap, "X", Difficulty.EASY, probs)
-    y_easy = campaign_index(snap, "Y", Difficulty.EASY, probs)
-    x_def = campaign_index(snap, "X", Difficulty.DEFAULT, probs)
-    y_def = campaign_index(snap, "Y", Difficulty.DEFAULT, probs)
+    x_easy = campaign_index(snap, "X", Difficulty.EASY)
+    y_easy = campaign_index(snap, "Y", Difficulty.EASY)
+    x_def = campaign_index(snap, "X", Difficulty.DEFAULT)
+    y_def = campaign_index(snap, "Y", Difficulty.DEFAULT)
     assert y_easy < x_easy
     assert x_def < y_def
 

@@ -10,7 +10,7 @@ from attackquant import (
     UnknownEntityError,
 )
 from helpers import (
-    AND, BAS, OR, SAND, brute_minimal_attacks, holds, wocao_entry_tree, random_tree,
+    AND, BAS, OR, SAND, brute_minimal_attacks, cone_tree, holds, wocao_entry_tree, random_tree,
 )
 
 
@@ -109,6 +109,11 @@ def test_duplicate_ids_rejected():
         AttackTree([Node("a", BAS, ()), Node("a", BAS, ())], "a")
 
 
+def test_empty_node_id_rejected():
+    with pytest.raises(InvariantError, match="^empty node id$"):
+        AttackTree([Node("", BAS, ())], "")
+
+
 def test_minimal_attacks_matches_brute_force():
     rng = random.Random(20240817)
     for i in range(60):
@@ -185,9 +190,9 @@ def test_minimal_attacks_is_antichain_and_coherent():
 
 def test_minimal_attacks_of_inner_node():
     tree = wocao_entry_tree()
-    assert tree.minimal_attacks("EVJ") == {frozenset({"CVE1"}), frozenset({"CVE2"})}
-    assert tree.minimal_attacks("VPN") == {frozenset({"GVC", "CVP"})}
-    assert tree.minimal_attacks("GVC") == {frozenset({"GVC"})}
+    assert cone_tree(tree, "EVJ").minimal_attacks() == {frozenset({"CVE1"}), frozenset({"CVE2"})}
+    assert cone_tree(tree, "VPN").minimal_attacks() == {frozenset({"GVC", "CVP"})}
+    assert cone_tree(tree, "GVC").minimal_attacks() == {frozenset({"GVC"})}
 
 
 def test_shared_subtree_dag():
