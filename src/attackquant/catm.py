@@ -372,9 +372,8 @@ def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bo
 # -- layer 2 ----------------------------------------------------------------
 
 
-def _collapse(tree: AttackTree, target: str) -> AttackTree:
-    """Replace a module's subtree by a single BAS with the module's id."""
-    cone = tree.descendants(target)
+def _collapse(tree: AttackTree, target: str, cone: frozenset[str]) -> AttackTree:
+    """Replace a module's subtree, its strict descendants ``cone``, by a BAS with its id."""
     nodes = [
         replace(node, type=GateType.BAS, children=()) if node.id == target else node
         for node in tree.nodes.values() if node.id not in cone
@@ -479,7 +478,7 @@ def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
                                f"below assignment target {target!r}")
         succeeded = tree.structure_function(target, attack)
         attack = (attack - cone) | ({target} if succeeded else frozenset())
-        tree = _collapse(tree, target)
+        tree = _collapse(tree, target, cone)
     return tree, attack, {name: {**entries, target: (low, high)} for name, entries in maps.items()}
 
 

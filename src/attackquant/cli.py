@@ -1,8 +1,9 @@
 """Command line interface.
 
 Diagnostics go to stderr; data goes to stdout or to the file named by
---out.  Exit codes: 0 success, 2 parse failure, 3 invariant violation,
-4 unknown entity, 5 missing attribution, 6 formula error.
+--out.  Exit codes: 0 success, 2 parse failure or unreadable/unwritable
+file (such as an output path in a missing directory), 3 invariant
+violation, 4 unknown entity, 5 missing attribution, 6 formula error.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except AttackQuantError as exc:
+        except (AttackQuantError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
+            sys.exit(exc.exit_code if isinstance(exc, AttackQuantError) else 2)
 
     return wrapper
 
@@ -125,14 +126,12 @@ def compare(snapshots: tuple[str, ...], difficulty: str, out: str,
     level = Difficulty(difficulty)
     table: dict[str, tuple[str, dict[Difficulty, float | None]]] = {}
     for snap in loaded:
-        index_at = {d: dict(compare_all(snap, d)) for d in Difficulty}
-        for campaign_id in index_at[level]:
-            if campaign_id in table:
-                raise InvariantError(
-                    f"campaign {campaign_id!r} appears in more than one snapshot"
-                )
-            per_level = {d: index_at[d][campaign_id] for d in Difficulty}
-            table[campaign_id] = (snap.campaign(campaign_id).name, per_level)
+        indices = compare_all(snap)
+        if repeats := indices.keys() & table.keys():
+            # the repeat ranked first at the level, whatever the snapshot's campaign order
+            first, _ = rank((c, indices[c][level]) for c in repeats)[0]
+            raise InvariantError(f"campaign {first!r} appears in more than one snapshot")
+        table.update((c, (snap.campaign(c).name, per)) for c, per in indices.items())
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["campaign", "name", "difficulty", "index"])

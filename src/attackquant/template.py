@@ -26,6 +26,14 @@ class Difficulty(Enum):
     HARD = "hard"
 
 
+# (tactic gate, technique gate) below the SAND root, per difficulty
+_GATES = {
+    Difficulty.EASY: (GateType.OR, GateType.OR),
+    Difficulty.DEFAULT: (GateType.SAND, GateType.OR),
+    Difficulty.HARD: (GateType.AND, GateType.AND),
+}
+
+
 def leaf_node_id(tech_id: str, tactic_id: str) -> str:
     """Deterministic template node id for a technique under a tactic."""
     return f"{tech_id}@{tactic_id}"
@@ -54,13 +62,7 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Attac
     refines techniques with OR.  Tactics with no techniques are omitted
     (a childless gate would be invalid).
     """
-    if difficulty is Difficulty.HARD:
-        tactic_gate, technique_gate = GateType.AND, GateType.AND
-    elif difficulty is Difficulty.EASY:
-        tactic_gate, technique_gate = GateType.OR, GateType.OR
-    else:
-        tactic_gate, technique_gate = GateType.SAND, GateType.OR
-
+    tactic_gate, technique_gate = _GATES[difficulty]
     nodes: list[Node] = []
     tactic_ids: list[str] = []
     children_of = _tactic_children(snapshot)
@@ -95,14 +97,8 @@ def build_template(snapshot: KnowledgeSnapshot, difficulty: Difficulty) -> Attac
     return AttackTree(nodes, ROOT_ID)
 
 
-def campaign_index(
-    snapshot: KnowledgeSnapshot,
-    campaign_id: str,
-    difficulty: Difficulty = Difficulty.DEFAULT,
-    *,
-    template: AttackTree | None = None,
-) -> float:
-    """Security index of one campaign on the difficulty's template.
+def campaign_index(snapshot: KnowledgeSnapshot, campaign_id: str, template: AttackTree) -> float:
+    """Security index of one campaign on a :func:`build_template` of the snapshot.
 
     Used leaves contribute -ln p, a subtree whose leaves the campaign
     never used contributes nothing to its parent (equivalently, the
@@ -111,28 +107,19 @@ def campaign_index(
     leaves and evaluating the security index there: it is the same
     :meth:`~attackquant.tree.AttackTree.fold`, restricted to the cone
     above the used leaves, so the cost follows the campaign's usage, not
-    the template's size.  ``template`` is the difficulty's
-    :func:`build_template`, for callers that index many campaigns.
+    the template's size.  The template's difficulty is the index's; a used
+    leaf the template lacks is an :class:`UnknownEntityError`.
     """
-    snapshot.campaign(campaign_id)
+    used = [leaf_node_id(tech, tactic) for tech, tactic in used_pairs(snapshot, campaign_id)]
     probs = likelihoods(snapshot)
-    tree = build_template(snapshot, difficulty) if template is None else template
-    nodes = tree.nodes
-    used = []
-    for tech, tactic in used_pairs(snapshot, campaign_id):
-        nid = leaf_node_id(tech, tactic)
-        node = nodes.get(nid)
-        if node is None or (node.type, node.technique, node.tactic) != (GateType.BAS, tech, tactic):
-            continue
-        used.append(nid)
     # Only the nodes above a used leaf are live; the rest of the template is absent.
-    live = tree.above(used)
-    if tree.root not in live:
+    live = template.above(used)
+    if template.root not in live:
         raise UndefinedIndexError(
             f"campaign {campaign_id!r} has no recorded usage; index undefined"
         )
-    return tree.fold(
-        tree.root,
+    return template.fold(
+        template.root,
         lambda node: neg_log(probs.prob_float(node.technique, node.tactic)),
         SECURITY_INDEX.fold_nabla, SECURITY_INDEX.fold_delta, live,
     )
@@ -141,24 +128,22 @@ def campaign_index(
 def security_range(snapshot: KnowledgeSnapshot, campaign_id: str) -> tuple[float, float]:
     """(EASY, HARD) index pair bounding every difficulty in between."""
     return (
-        campaign_index(snapshot, campaign_id, Difficulty.EASY),
-        campaign_index(snapshot, campaign_id, Difficulty.HARD),
+        campaign_index(snapshot, campaign_id, build_template(snapshot, Difficulty.EASY)),
+        campaign_index(snapshot, campaign_id, build_template(snapshot, Difficulty.HARD)),
     )
 
 
-def compare_all(
-    snapshot: KnowledgeSnapshot, difficulty: Difficulty = Difficulty.DEFAULT
-) -> list[tuple[str, float | None]]:
-    """Index per campaign, in :func:`rank` order; None where it is undefined (no usage)."""
-    template = build_template(snapshot, difficulty)
-    indices: list[tuple[str, float | None]] = []
-    for campaign_id in snapshot.campaigns:
-        try:
-            index = campaign_index(snapshot, campaign_id, difficulty, template=template)
-        except UndefinedIndexError:
-            index = None
-        indices.append((campaign_id, index))
-    return rank(indices)
+def compare_all(snapshot: KnowledgeSnapshot) -> dict[str, dict[Difficulty, float | None]]:
+    """Index per campaign and difficulty, in snapshot order; None where undefined (no usage)."""
+    templates = {d: build_template(snapshot, d) for d in Difficulty}
+    indices: dict[str, dict[Difficulty, float | None]] = {c: {} for c in snapshot.campaigns}
+    for campaign_id, per_level in indices.items():
+        for difficulty, template in templates.items():
+            try:
+                per_level[difficulty] = campaign_index(snapshot, campaign_id, template)
+            except UndefinedIndexError:
+                per_level[difficulty] = None
+    return indices
 
 
 def rank(indices: Iterable[tuple[str, float | None]]) -> list[tuple[str, float | None]]:
@@ -170,10 +155,9 @@ def instantiate(
     snapshot: KnowledgeSnapshot, campaign_id: str, difficulty: Difficulty = Difficulty.DEFAULT
 ) -> tuple[AttackTree, dict[str, float]]:
     """Pruned template for one campaign plus its leaf probabilities."""
-    snapshot.campaign(campaign_id)
+    used = used_pairs(snapshot, campaign_id)
     probs = likelihoods(snapshot)
     template = build_template(snapshot, difficulty)
-    used = used_pairs(snapshot, campaign_id)
     live = {leaf_node_id(tech, tactic) for tech, tactic in used}
     pruned = template.prune(live)
     attribution = {

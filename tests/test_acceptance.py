@@ -282,10 +282,11 @@ def test_criterion_08_index_equals_pruned_metric():
     checked = 0
     for _ in range(100):
         snap = random_snapshot(rng)
+        templates = {difficulty: build_template(snap, difficulty) for difficulty in Difficulty}
         for campaign_id in snap.campaigns:
             for difficulty in Difficulty:
                 try:
-                    direct = campaign_index(snap, campaign_id, difficulty)
+                    direct = campaign_index(snap, campaign_id, templates[difficulty])
                 except UndefinedIndexError:
                     continue
                 pruned, attr = instantiate(snap, campaign_id, difficulty)
@@ -313,7 +314,7 @@ def test_criterion_08_index_equals_pruned_metric():
         p22 = probs.prob_float("E2.2", "A1")
         p23 = probs.prob_float("E2.3", "A1")
         symbolic = -math.log(p1) + min(-math.log(p22), -math.log(p23))
-        got = campaign_index(snap, "CSTAR", Difficulty.DEFAULT)
+        got = campaign_index(snap, "CSTAR", build_template(snap, Difficulty.DEFAULT))
         assert math.isclose(got, symbolic, rel_tol=1e-9, abs_tol=1e-9)
     report(8, "campaign index equals the pruned template metric")
 
@@ -322,13 +323,14 @@ def test_criterion_09_difficulty_ordering_and_rank_reversal():
     rng = random.Random(808808)
     for _ in range(60):
         snap = random_snapshot(rng)
+        easy_t, default_t, hard_t = (build_template(snap, d) for d in Difficulty)
         for campaign_id in snap.campaigns:
             try:
-                easy = campaign_index(snap, campaign_id, Difficulty.EASY)
+                easy = campaign_index(snap, campaign_id, easy_t)
             except UndefinedIndexError:
                 continue
-            default = campaign_index(snap, campaign_id, Difficulty.DEFAULT)
-            hard = campaign_index(snap, campaign_id, Difficulty.HARD)
+            default = campaign_index(snap, campaign_id, default_t)
+            hard = campaign_index(snap, campaign_id, hard_t)
             assert easy <= default + 1e-12
             assert default <= hard + 1e-12
 
@@ -336,10 +338,11 @@ def test_criterion_09_difficulty_ordering_and_rank_reversal():
     for i in range(5):
         campaigns[f"AUX{i}"] = [("A", "e2"), ("A", "e3"), ("A", "e4")]
     snap = snapshot_from_usage({"A": ["e1", "e2", "e3", "e4"]}, {}, campaigns)
-    x_easy = campaign_index(snap, "X", Difficulty.EASY)
-    y_easy = campaign_index(snap, "Y", Difficulty.EASY)
-    x_default = campaign_index(snap, "X", Difficulty.DEFAULT)
-    y_default = campaign_index(snap, "Y", Difficulty.DEFAULT)
+    easy_t, default_t = (build_template(snap, d) for d in (Difficulty.EASY, Difficulty.DEFAULT))
+    x_easy = campaign_index(snap, "X", easy_t)
+    y_easy = campaign_index(snap, "Y", easy_t)
+    x_default = campaign_index(snap, "X", default_t)
+    y_default = campaign_index(snap, "Y", default_t)
     assert y_easy < x_easy
     assert x_default < y_default
     report(9, "difficulties are ordered; the two-campaign witness flips rank")
@@ -374,7 +377,7 @@ def test_criterion_10_enterprise_v14_rows():
     got = {}
     for cid, rows in ((wocao, WOCAO_ROWS), (dream_job, DREAM_JOB_ROWS)):
         for difficulty in Difficulty:
-            value = campaign_index(snap, cid, difficulty)
+            value = campaign_index(snap, cid, build_template(snap, difficulty))
             got[cid, difficulty] = value
             assert value == pytest.approx(rows[difficulty.value], abs=0.5), (
                 cid,

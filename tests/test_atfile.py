@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -158,21 +159,29 @@ def test_shape_violations(fields):
         doc_from(leaf_file(**fields))
 
 
+DOCUMENT_ERRORS = [
+    ("{broken", "attack tree file is not valid JSON: "),
+    ("[]", "attack tree file: top level must be an object"),
+    ('{"format": "at/2", "root": "x", "nodes": []}',
+     "attack tree file: missing or unsupported format marker"),
+    ('{"format": "at/1", "nodes": []}', "attack tree file: 'root' must be a node id"),
+    ('{"format": "at/1", "root": "x", "nodes": {}}', "attack tree file: 'nodes' must be a list"),
+    ('{"format": "at/1", "root": "x", "nodes": [{"id": "x", "type": "NOR"}]}',
+     "node 'x': unknown type 'NOR'"),
+    ('{"format": "at/1", "root": "x", "nodes": [{"type": "BAS"}]}',
+     "attack tree file: node without a string id"),
+    ('{"format": "at/1", "root": "x", "nodes": [4]}',
+     "attack tree file: each node must be an object"),
+    ('{"format": "at/1", "root": "x", "nodes": [{"id": "x", "type": "OR", "children": "y"}]}',
+     "node 'x': 'children' must be a list of ids"),
+]
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [
-        "{broken",
-        "[]",
-        '{"format": "at/2", "root": "x", "nodes": []}',
-        '{"format": "at/1", "nodes": []}',
-        '{"format": "at/1", "root": "x", "nodes": {}}',
-        '{"format": "at/1", "root": "x", "nodes": [{"id": "x", "type": "NOR"}]}',
-        '{"format": "at/1", "root": "x", "nodes": [{"type": "BAS"}]}',
-        '{"format": "at/1", "root": "x", "nodes": [4]}',
-    ],
+    ("payload", "message"), DOCUMENT_ERRORS, ids=[payload for payload, _ in DOCUMENT_ERRORS]
 )
-def test_document_level_parse_errors(payload):
-    with pytest.raises(ParseError):
+def test_document_level_parse_errors(payload, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
         read_at(io.StringIO(payload))
 
 

@@ -420,3 +420,27 @@ def test_version_flag(runner):
     assert result.exit_code == 0
     assert "attackquant" in result.output
     assert attackquant.__version__ in result.output
+
+
+# -- output paths -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ingest", "{fx}/mini-bundle.json", "--out", "{missing}"],
+        ["ingest", "{fx}/mini-bundle.json", "--out", "{tmp}/s.json", "--likelihoods", "{missing}"],
+        ["template", "CSTAR", "--snapshot", "{fx}/miniature.snapshot.json", "--out", "{missing}"],
+        ["compare", "{fx}/miniature.snapshot.json", "--out", "{missing}"],
+    ],
+    ids=["ingest-out", "ingest-likelihoods", "template-out", "compare-out"],
+)
+def test_output_in_missing_directory_is_an_error_not_a_traceback(runner, fixtures, tmp_path,
+                                                                 command):
+    missing = tmp_path / "no-such-dir" / "out"
+    args = [arg.format(fx=fixtures, tmp=tmp_path, missing=missing) for arg in command]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert str(missing) in result.output

@@ -183,6 +183,7 @@ def test_skipped_and_straggling_objects(caplog):
     no_shortname = {**tactic_obj("TA0009", "collection"), "x_mitre_shortname": 7}
     no_ext_id = {**campaign_obj("C2"), "external_references": []}
     no_stix_id = {**campaign_obj("C3"), "id": 3}
+    no_technique_id = {**pattern_obj("T2", ["initial-access"]), "external_references": []}
     with caplog.at_level(logging.WARNING, logger="attackquant.stix"):
         snap = import_stix(
             bundle(
@@ -190,6 +191,7 @@ def test_skipped_and_straggling_objects(caplog):
                 tactic_obj("TA0001", "initial-access"),
                 no_shortname,
                 pattern_obj("T1", ["initial-access", "no-such-tactic"]),
+                no_technique_id,
                 campaign_obj("C1"),
                 no_ext_id,
                 no_stix_id,
@@ -199,12 +201,14 @@ def test_skipped_and_straggling_objects(caplog):
     # A shortname outside the Enterprise order sorts after the matrix.
     assert [t.id for t in snap.tactics] == ["TA0001", "TA9999"]
     assert snap.technique("T1").tactics == ("TA0001",)
+    assert list(snap.techniques) == ["T1"]
     assert list(snap.campaigns) == ["C1"]
     messages = [r.getMessage() for r in caplog.records]
     assert "skipping tactic without external id/shortname: x-mitre-tactic--TA0009" in messages
     assert "technique T1: unknown tactic shortname 'no-such-tactic'" in messages
     assert "skipping campaign without external id: campaign--C2" in messages
     assert "skipping campaign without string id: 3" in messages
+    assert "skipping technique without external id: attack-pattern--T2" in messages
 
 
 @pytest.mark.parametrize("payload", ["{broken", '{"objects": 4}', "[]"])

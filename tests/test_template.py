@@ -23,7 +23,7 @@ from attackquant import (
 )
 from attackquant.cli import main
 from attackquant.snapshot import Campaign, KnowledgeSnapshot, Tactic, Technique
-from attackquant.template import ROOT_ID, leaf_node_id, used_pairs
+from attackquant.template import ROOT_ID, leaf_node_id, rank, used_pairs
 from helpers import random_snapshot, snapshot_from_usage
 
 
@@ -112,7 +112,7 @@ def test_parent_joins_a_tactic_through_a_subtechnique_tag():
 
 
 def test_miniature_default_index(miniature):
-    value = campaign_index(miniature, "CSTAR", Difficulty.DEFAULT)
+    value = campaign_index(miniature, "CSTAR", build_template(miniature, Difficulty.DEFAULT))
     assert value == 2.0794415416798357
     expected = -math.log(0.5) + min(-math.log(0.25), -math.log(0.125))
     assert value == pytest.approx(expected, abs=1e-12)
@@ -145,7 +145,7 @@ def test_symbolic_identity_for_random_counts():
         p22 = float(probs.prob("E2.2", "A1"))
         p23 = float(probs.prob("E2.3", "A1"))
         expected = -math.log(p1) + min(-math.log(p22), -math.log(p23))
-        got = campaign_index(snap, "CSTAR", Difficulty.DEFAULT)
+        got = campaign_index(snap, "CSTAR", build_template(snap, Difficulty.DEFAULT))
         assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -154,10 +154,11 @@ def test_index_equals_pruned_template_evaluation():
     checked = 0
     for _ in range(25):
         snap = random_snapshot(rng)
+        templates = {diff: build_template(snap, diff) for diff in Difficulty}
         for cid in snap.campaigns:
             for diff in Difficulty:
                 try:
-                    direct = campaign_index(snap, cid, diff)
+                    direct = campaign_index(snap, cid, templates[diff])
                 except UndefinedIndexError:
                     continue
                 pruned, attr = instantiate(snap, cid, diff)
@@ -181,10 +182,11 @@ def test_compare_plot_cells_equal_campaign_index(tmp_path):
         with open(tmp_path / f"c{k}.plot.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(row["campaign"] for row in rows) == sorted(snap.campaigns)
+        templates = {diff: build_template(snap, diff) for diff in Difficulty}
         for row in rows:
             for diff in Difficulty:
                 try:
-                    expected = f"{campaign_index(snap, row['campaign'], diff):.6f}"
+                    expected = f"{campaign_index(snap, row['campaign'], templates[diff]):.6f}"
                 except UndefinedIndexError:
                     expected = "undefined"
                 assert row[diff.value] == expected
@@ -194,13 +196,14 @@ def test_difficulty_ordering_on_random_snapshots():
     rng = random.Random(808)
     for _ in range(25):
         snap = random_snapshot(rng)
+        easy_t, default_t, hard_t = (build_template(snap, diff) for diff in Difficulty)
         for cid in snap.campaigns:
             try:
-                easy = campaign_index(snap, cid, Difficulty.EASY)
+                easy = campaign_index(snap, cid, easy_t)
             except UndefinedIndexError:
                 continue
-            default = campaign_index(snap, cid, Difficulty.DEFAULT)
-            hard = campaign_index(snap, cid, Difficulty.HARD)
+            default = campaign_index(snap, cid, default_t)
+            hard = campaign_index(snap, cid, hard_t)
             assert easy <= default + 1e-12
             assert default <= hard + 1e-12
             assert math.isfinite(hard)
@@ -218,19 +221,20 @@ def test_rank_reversal_between_difficulty_orders():
     probs = likelihoods(snap)
     assert probs.prob("e1", "A") == Fraction(1, 19)
     assert probs.prob("e2", "A") == Fraction(6, 19)
-    x_easy = campaign_index(snap, "X", Difficulty.EASY)
-    y_easy = campaign_index(snap, "Y", Difficulty.EASY)
-    x_def = campaign_index(snap, "X", Difficulty.DEFAULT)
-    y_def = campaign_index(snap, "Y", Difficulty.DEFAULT)
+    easy_t, default_t = (build_template(snap, d) for d in (Difficulty.EASY, Difficulty.DEFAULT))
+    x_easy = campaign_index(snap, "X", easy_t)
+    y_easy = campaign_index(snap, "Y", easy_t)
+    x_def = campaign_index(snap, "X", default_t)
+    y_def = campaign_index(snap, "Y", default_t)
     assert y_easy < x_easy
     assert x_def < y_def
 
 
 def test_security_range_brackets_every_difficulty(miniature):
     lo, hi = security_range(miniature, "CSTAR")
-    default = campaign_index(miniature, "CSTAR", Difficulty.DEFAULT)
-    assert lo == campaign_index(miniature, "CSTAR", Difficulty.EASY)
-    assert hi == campaign_index(miniature, "CSTAR", Difficulty.HARD)
+    default = campaign_index(miniature, "CSTAR", build_template(miniature, Difficulty.DEFAULT))
+    assert lo == campaign_index(miniature, "CSTAR", build_template(miniature, Difficulty.EASY))
+    assert hi == campaign_index(miniature, "CSTAR", build_template(miniature, Difficulty.HARD))
     assert lo < default < hi
     assert lo == pytest.approx(math.log(2), abs=1e-12)
     assert hi == pytest.approx(
@@ -262,7 +266,11 @@ def test_compare_all_sorting():
             "AUX1": [("A", "e2")],
         },
     )
-    rows = compare_all(snap, Difficulty.DEFAULT)
+    indices = compare_all(snap)
+    # every difficulty of every campaign, in snapshot order
+    assert list(indices) == list(snap.campaigns)
+    assert all(list(per) == list(Difficulty) for per in indices.values())
+    rows = rank((cid, per[Difficulty.DEFAULT]) for cid, per in indices.items())
     ids = [cid for cid, _ in rows]
     # defined ascending by index, undefined last sorted by id
     defined = [cid for cid, v in rows if v is not None]
@@ -283,12 +291,19 @@ def test_undefined_index_raises(miniature):
         {"C": [("A", "e1")], "GHOST": []},
     )
     with pytest.raises(UndefinedIndexError):
-        campaign_index(snap, "GHOST")
+        campaign_index(snap, "GHOST", build_template(snap, Difficulty.DEFAULT))
 
 
 def test_unknown_campaign(miniature):
     with pytest.raises(UnknownEntityError):
-        campaign_index(miniature, "nope")
+        campaign_index(miniature, "nope", build_template(miniature, Difficulty.DEFAULT))
+
+
+def test_template_missing_a_used_leaf_is_an_unknown_node():
+    small = snapshot_from_usage({"A": ["e1"]}, {}, {"C": [("A", "e1")]})
+    large = snapshot_from_usage({"A": ["e1", "e2"]}, {}, {"C": [("A", "e1"), ("A", "e2")]})
+    with pytest.raises(UnknownEntityError, match=r"^unknown node 'e2@A'$"):
+        campaign_index(large, "C", build_template(small, Difficulty.DEFAULT))
 
 
 def test_instantiate_unknown_campaign_fails_before_any_work(miniature, tmp_path, monkeypatch):
