@@ -44,7 +44,6 @@ from .metrics import (
     Load,
     attack_metric,
     get_load,
-    interval_attack_metric,
     interval_tree_metric,
     neg_log,
     security_index,

@@ -150,7 +150,8 @@ def read_at(source: str | IO[str]) -> AtDocument:
     return AtDocument(tree, prob, attrs, top_extras, node_extras)
 
 
-def at_to_dict(doc: AtDocument) -> dict:
+def write_at(doc: AtDocument, target: str | IO[str]) -> None:
+    """Write at/1 JSON with stable bytes for equal documents."""
     out: dict = {"format": "at/1", "root": doc.tree.root}
     out.update(doc.top_extras)
     prob = _number_or_pair(doc.prob)
@@ -171,11 +172,6 @@ def at_to_dict(doc: AtDocument) -> dict:
         raw.update(doc.node_extras.get(node.id, {}))
         rendered.append(raw)
     out["nodes"] = rendered
-    return out
-
-
-def write_at(doc: AtDocument, target: str | IO[str]) -> None:
-    """Write at/1 JSON with stable bytes for equal documents."""
     with _opened(target, "w") as fh:
-        json.dump(at_to_dict(doc), fh, indent=2)
+        json.dump(out, fh, indent=2)
         fh.write("\n")

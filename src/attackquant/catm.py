@@ -26,6 +26,7 @@ extends as far right as possible.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -36,10 +37,10 @@ from .errors import FormulaError, MissingAttributionError
 from .metrics import (
     Interval,
     Load,
+    attack_metric,
     by_endpoints,
     cuts_metric,
     get_load,
-    interval_attack_metric,
     tree_metric,
 )
 from .tree import AttackTree, GateType, Node, _decode, _minimize
@@ -278,7 +279,9 @@ class _Parser:
         try:
             value = float(token.text)
         except ValueError:
-            raise FormulaError(f"not a number: {token.text!r}", token.pos) from None
+            value = math.nan
+        if math.isnan(value):
+            raise FormulaError(f"not a number: {token.text!r}", token.pos)
         return value
 
     def operand(self) -> Formula:
@@ -447,7 +450,8 @@ def _metric_verdict(tree: AttackTree, attack: frozenset[str], maps: Attributions
     if not eval_layer1(tree, attack, check.formula):
         reason = "the attack does not satisfy the inner formula"
     else:
-        lo, hi = interval_attack_metric(load, per_load, attack)
+        value = by_endpoints(lambda attr: attack_metric(load, attr, attack), per_load)
+        lo, hi = value if isinstance(value, tuple) else (value, value)
         if hi <= bound:
             return TruthValue.TRUE
         if lo <= bound:

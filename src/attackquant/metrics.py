@@ -17,7 +17,8 @@ a node, or of a negation-free formula, is :func:`tree_metric` of its atom
 or formula grafted onto the tree (``catm.formula_metric``); only a formula
 with real negations folds :func:`cuts_metric` over its minimal satisfying
 sets directly.  :func:`by_endpoints` decides whether a metric is a number
-or an interval; the point folds refuse a (lo, hi) value.
+or an interval, for a tree metric and for a layer-2 metric check over one
+attack alike; the point folds refuse a (lo, hi) value.
 """
 
 from __future__ import annotations
@@ -123,41 +124,26 @@ def tree_metric(load: Load, attr: Mapping[str, float], tree: AttackTree) -> floa
     )
 
 
-def _split(iattr: Mapping[str, float | Interval]) -> tuple[dict[str, float], dict[str, float]]:
-    """Lower and upper ends per leaf; a number is a point, both ends equal."""
-    lows: dict[str, float] = {}
-    highs: dict[str, float] = {}
-    for step, value in iattr.items():
-        lo, hi = value if isinstance(value, tuple) else (value, value)
-        if lo > hi:
-            raise InvariantError(f"leaf {step!r}: interval bounds out of order [{lo}, {hi}]")
-        lows[step] = lo
-        highs[step] = hi
-    return lows, highs
-
-
-def interval_attack_metric(
-    load: Load, iattr: Mapping[str, float | Interval], attack: Iterable[str]
-) -> Interval:
-    """Endpoint delta-folds over one attack; delta is monotone for every built-in."""
-    lows, highs = _split(iattr)
-    return (
-        attack_metric(load, lows, attack),
-        attack_metric(load, highs, attack),
-    )
-
-
 def by_endpoints(metric: Callable[[Mapping[str, float]], float],
                  attr: Mapping[str, float | Interval]) -> float | Interval:
     """``metric(attr)`` when every leaf value is a number, else its (lo, hi) bounds.
 
     Every built-in load is monotone in each leaf value, so under (lo, hi)
     pairs the metric over all feasible point attributions spans exactly
-    the interval between the all-lower-ends and all-upper-ends evaluations.
+    the interval between the all-lower-ends and all-upper-ends evaluations,
+    a number counting as both ends.  Its callers are tree metrics
+    (:func:`interval_tree_metric`) and layer-2 metric checks over one attack.
     """
     if not any(isinstance(v, tuple) for v in attr.values()):
         return metric(attr)
-    lows, highs = _split(attr)
+    lows: dict[str, float] = {}
+    highs: dict[str, float] = {}
+    for step, value in attr.items():
+        lo, hi = value if isinstance(value, tuple) else (value, value)
+        if lo > hi:
+            raise InvariantError(f"leaf {step!r}: interval bounds out of order [{lo}, {hi}]")
+        lows[step] = lo
+        highs[step] = hi
     return metric(lows), metric(highs)
 
 

@@ -16,25 +16,6 @@ from typing import IO, Iterable, Mapping
 
 from .errors import InvariantError, ParseError, UnknownEntityError, _opened, read_json
 
-# MITRE Enterprise tactic short names in matrix order, used by the STIX
-# importer to order tactics canonically.
-ENTERPRISE_TACTIC_ORDER = (
-    "reconnaissance",
-    "resource-development",
-    "initial-access",
-    "execution",
-    "persistence",
-    "privilege-escalation",
-    "defense-evasion",
-    "credential-access",
-    "discovery",
-    "lateral-movement",
-    "collection",
-    "command-and-control",
-    "exfiltration",
-    "impact",
-)
-
 
 @dataclass(frozen=True)
 class Tactic:

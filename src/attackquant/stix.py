@@ -13,15 +13,28 @@ import logging
 from typing import IO, Mapping
 
 from .errors import InvariantError, ParseError, read_json
-from .snapshot import (
-    ENTERPRISE_TACTIC_ORDER,
-    Campaign,
-    KnowledgeSnapshot,
-    Tactic,
-    Technique,
-)
+from .snapshot import Campaign, KnowledgeSnapshot, Tactic, Technique
 
 logger = logging.getLogger(__name__)
+
+# MITRE Enterprise tactic short names in matrix order, the order in which
+# tactics are imported (unknown short names last).
+ENTERPRISE_TACTIC_ORDER = (
+    "reconnaissance",
+    "resource-development",
+    "initial-access",
+    "execution",
+    "persistence",
+    "privilege-escalation",
+    "defense-evasion",
+    "credential-access",
+    "discovery",
+    "lateral-movement",
+    "collection",
+    "command-and-control",
+    "exfiltration",
+    "impact",
+)
 
 
 def _listed(obj: Mapping, key: str) -> list:

@@ -96,7 +96,6 @@ class AttackTree:
         self._violations: list[str] | None = None
         self._parents: dict[str, tuple[str, ...]] | None = None
         self._cut_bits: dict[str, list[int]] = {}
-        self._bas_order: tuple[str, ...] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -276,23 +275,18 @@ class AttackTree:
         self.require_valid()
         return frozenset(self.below([node_id]) - {node_id})
 
-    @property
-    def bas_order(self) -> tuple[str, ...]:
-        """BAS ids, sorted; bit i of every cut mask stands for entry i."""
-        if self._bas_order is None:
-            self._bas_order = tuple(sorted(self.bas_ids))
-        return self._bas_order
-
     def minimal_attacks(self) -> frozenset[Attack]:
         """Subset-minimal attacks compromising the root.
 
-        Computed bottom-up as bitmasks over :attr:`bas_order`, with
+        Computed bottom-up as bitmasks over the sorted BAS ids, with
         subsumption elimination at every gate, so shared subtrees in DAGs
         cannot smuggle non-minimal products into the result.  Each gate's
-        family is kept on the tree for later calls.
+        family is kept on the tree for later calls, whose bit order is the
+        same sorted one.
         """
         self.require_valid()
-        bit = {b: 1 << i for i, b in enumerate(self.bas_order)}
+        order = sorted(self.bas_ids)
+        bit = {b: 1 << i for i, b in enumerate(order)}
         masks = self.fold(
             self.root,
             lambda node: [bit[node.id]],
@@ -300,7 +294,7 @@ class AttackTree:
             lambda families: reduce(_cross, families, [0]),
             values=self._cut_bits,
         )
-        return _decode(masks, self.bas_order)
+        return _decode(masks, order)
 
     def is_module(self, node_id: str) -> bool:
         """Whether every path between the node's cone and the rest runs through it."""

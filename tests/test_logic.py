@@ -30,7 +30,7 @@ from attackquant import (
     read_at,
 )
 from attackquant.catm import kleene_and, kleene_not, layer_of
-from attackquant.metrics import BUILTIN_LOADS, MAX_PROB, MIN_COST, tree_metric
+from attackquant.metrics import BUILTIN_LOADS, MAX_PROB, MIN_COST, attack_metric, tree_metric
 from helpers import (
     AND, BAS, OR, cone_tree, kleene_or, random_attribution, random_tree, wocao_entry_tree,
 )
@@ -111,6 +111,8 @@ def test_nested_assign_parses_greedily():
         "set X = 1 in X",
         "a ! b",
         "!",
+        "metric(maxprob, a) <= nan",
+        "set X = [nan, 1] in metric(mincost, X) <= 3",
     ],
 )
 def test_parse_errors(bad):
@@ -281,13 +283,12 @@ def test_degenerate_intervals_never_maybe(bound):
     from conftest import FIXTURES
 
     doc = read_at(str(FIXTURES / "wocao-initial-access.at.json"))
-    v = eval_layer2(
-        doc.tree,
-        {"GVC", "CVP"},
-        doc.attributions(),
-        parse(f"metric(maxprob, VPN) <= {bound!r}"),
-    )
-    assert v in (T, F)
+    attack = {"GVC", "CVP"}
+    maps = doc.attributions()
+    v = eval_layer2(doc.tree, attack, maps, parse(f"metric(maxprob, VPN) <= {bound!r}"))
+    holds = (doc.tree.structure_function("VPN", attack)
+             and attack_metric(MAX_PROB, maps["maxprob"], attack) <= bound)
+    assert v is (T if holds else F)
 
 
 def test_missing_load_map(intervals_doc):

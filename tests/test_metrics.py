@@ -15,7 +15,6 @@ from attackquant import (
     attack_metric,
     formula_metric,
     get_load,
-    interval_attack_metric,
     interval_tree_metric,
     neg_log,
     parse,
@@ -31,6 +30,7 @@ from attackquant.metrics import (
     MIN_TIME_PAR,
     MIN_TIME_SEQ,
     SECURITY_INDEX,
+    by_endpoints,
     cuts_metric,
 )
 from helpers import (
@@ -72,7 +72,7 @@ def test_wocao_entry_interval():
         "CVP": (0.5, 0.9),
     }
     assert interval_tree_metric(MAX_PROB, spans, tree) == (0.25, 0.81)
-    assert interval_attack_metric(MAX_PROB, spans, {"GVC", "CVP"}) == (0.25, 0.81)
+    assert by_endpoints(lambda a: attack_metric(MAX_PROB, a, {"GVC", "CVP"}), spans) == (0.25, 0.81)
 
 
 @pytest.mark.parametrize(
