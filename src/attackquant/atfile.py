@@ -59,25 +59,18 @@ def _number_or_pair(entries: dict[str, Interval]) -> dict[str, float | Interval]
 
 
 def _interval_from(raw, where: str, load_name: str) -> Interval:
+    """A JSON number ``v`` as ``(v, v)``, or ``[lo, hi]``, checked against the load's domain."""
     load = get_load(load_name)
+    lo, hi = raw if type(raw) is list and len(raw) == 2 else (raw, raw)
+    if type(lo) not in (int, float) or type(hi) not in (int, float):  # bool is neither
+        raise ParseError(f"{where}: expected a number or [lo, hi]")
     try:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            value = load.check_value(float(raw), where)
-            return (value, value)
-        if (
-            isinstance(raw, list)
-            and len(raw) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-        ):
-            lo, hi = float(raw[0]), float(raw[1])
-            if lo > hi:
-                raise InvariantError(f"{where}: interval bounds out of order [{lo}, {hi}]")
-            load.check_value(lo, where)
-            load.check_value(hi, where)
-            return (lo, hi)
+        lo, hi = float(lo), float(hi)
     except OverflowError:  # an integer beyond the float range
         raise ParseError(f"{where}: number out of range") from None
-    raise ParseError(f"{where}: expected a number or [lo, hi]")
+    if lo > hi:
+        raise InvariantError(f"{where}: interval bounds out of order [{lo}, {hi}]")
+    return load.check_value(lo, where), load.check_value(hi, where)
 
 
 def read_at(source: str | IO[str]) -> AtDocument:

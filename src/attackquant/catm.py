@@ -7,13 +7,12 @@ a trivalent verdict (TRUE, MAYBE, FALSE) with strong Kleene connectives.
 
 Concrete syntax (both layers share the operators)::
 
+    formula  := implied (("<=>" | "<!>") implied)*
+    implied  := clause ["=>" implied]                 (right-assoc)
+    clause   := term ("|" term)*
+    term     := factor ("&" factor)*
+    factor   := "!" factor | "(" formula ")" | metric | assign | atom
     atom     := [A-Za-z0-9_.@-]+
-    unary    := "!" unary | primary
-    conj     := unary ("&" unary)*
-    disj     := conj ("|" conj)*
-    impl     := disj ["=>" impl]                      (right-assoc)
-    formula  := impl (("<=>" | "<!>") impl)*
-    primary  := "(" formula ")" | metric | assign | atom
     metric   := "metric" "(" load "," formula ")" "<=" number
     assign   := "set" atom "=" "[" number "," number "]" "in" formula
 

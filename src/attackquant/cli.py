@@ -101,7 +101,10 @@ def metric(at_file: str, metric_name: str) -> None:
 
 def _echo_metric(value: float | Interval) -> None:
     """A metric on stdout: a number, or ``[lo, hi]`` under interval attributions."""
-    click.echo(f"[{value[0]:.6f}, {value[1]:.6f}]" if isinstance(value, tuple) else f"{value:.6f}")
+    if isinstance(value, tuple):  # + 0.0 prints -0.0 as 0.000000, as neg_log returns +0.0
+        click.echo(f"[{value[0] + 0.0:.6f}, {value[1] + 0.0:.6f}]")
+    else:
+        click.echo(f"{value + 0.0:.6f}")
 
 
 @main.command()

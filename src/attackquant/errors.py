@@ -7,8 +7,8 @@ caught exception straight to a process status.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import IO, Any, Iterator
+from contextlib import nullcontext
+from typing import IO, Any, ContextManager
 
 
 class AttackQuantError(Exception):
@@ -56,15 +56,12 @@ class UndefinedIndexError(AttackQuantError):
     exit_code = 3
 
 
-@contextmanager
 def _opened(target: str | IO[str], mode: str = "r",
-            newline: str | None = None) -> Iterator[IO[str]]:
+            newline: str | None = None) -> ContextManager[IO[str]]:
     """An open text file as it is, or a path opened as UTF-8 and closed afterwards."""
     if isinstance(target, str):
-        with open(target, mode, encoding="utf-8", newline=newline) as fh:
-            yield fh
-    else:
-        yield target
+        return open(target, mode, encoding="utf-8", newline=newline)
+    return nullcontext(target)
 
 
 def read_json(source: str | IO[str], what: str) -> Any:

@@ -38,6 +38,16 @@ class Campaign:
     uses: frozenset[tuple[str, str]]  # (tactic-id, technique-id)
 
 
+def _by_id(kind: str, items: Iterable) -> dict:
+    """Items keyed by id, in the order given; a repeated id is an InvariantError."""
+    index = {}
+    for item in items:
+        if item.id in index:
+            raise InvariantError(f"duplicate {kind} id {item.id!r}")
+        index[item.id] = item
+    return index
+
+
 class KnowledgeSnapshot:
     """Validated, immutable snapshot of one knowledge-base version."""
 
@@ -50,29 +60,16 @@ class KnowledgeSnapshot:
     ):
         self.version = version
         self.tactics = tuple(tactics)
-        self.techniques: dict[str, Technique] = {}
-        self.campaigns: dict[str, Campaign] = {}
-        seen_tactics: set[str] = set()
-        for tactic in self.tactics:
-            if tactic.id in seen_tactics:
-                raise InvariantError(f"duplicate tactic id {tactic.id!r}")
-            seen_tactics.add(tactic.id)
-        for tech in techniques:
-            if tech.id in self.techniques:
-                raise InvariantError(f"duplicate technique id {tech.id!r}")
-            self.techniques[tech.id] = tech
-        for camp in campaigns:
-            if camp.id in self.campaigns:
-                raise InvariantError(f"duplicate campaign id {camp.id!r}")
-            self.campaigns[camp.id] = camp
-        self._subs: dict[str, tuple[str, ...]] = {}
+        self._tactics: dict[str, Tactic] = _by_id("tactic", self.tactics)
+        self.techniques: dict[str, Technique] = _by_id("technique", techniques)
+        self.campaigns: dict[str, Campaign] = _by_id("campaign", campaigns)
         # campaign id -> tactic id -> normalized leaf usage, filled on demand
         self._usage: dict[str, dict[str, frozenset[str]]] = {}
         self._likelihoods: ProbMatrix | None = None  # filled by likelihoods()
         self._check()
 
     def _check(self) -> None:
-        tactic_ids = {t.id for t in self.tactics}
+        subs: dict[str, list[str]] = {}
         for tech in self.techniques.values():
             if tech.parent is not None:
                 parent = self.techniques.get(tech.parent)
@@ -85,16 +82,13 @@ class KnowledgeSnapshot:
                         f"technique {tech.id!r}: parent {tech.parent!r} is itself a "
                         "subtechnique (hierarchy must be two-level)"
                     )
+                subs.setdefault(tech.parent, []).append(tech.id)
             for tid in tech.tactics:
-                if tid not in tactic_ids:
+                if tid not in self._tactics:
                     raise InvariantError(
                         f"technique {tech.id!r}: undeclared tactic {tid!r}"
                     )
-        subs: dict[str, list[str]] = {}
-        for tech in self.techniques.values():
-            if tech.parent is not None:
-                subs.setdefault(tech.parent, []).append(tech.id)
-        self._subs = {p: tuple(sorted(s)) for p, s in subs.items()}
+        self._subs: dict[str, tuple[str, ...]] = {p: tuple(sorted(s)) for p, s in subs.items()}
         for camp in self.campaigns.values():
             for tactic_id, tech_id in camp.uses:
                 tech = self.techniques.get(tech_id)
@@ -110,7 +104,7 @@ class KnowledgeSnapshot:
         """
         for tactic_id, tech_id in sorted(camp.uses):
             tech = self.techniques.get(tech_id)
-            if tactic_id not in {t.id for t in self.tactics}:
+            if tactic_id not in self._tactics:
                 return f"campaign {camp.id!r}: uses undeclared tactic {tactic_id!r}"
             if tech is None:
                 return f"campaign {camp.id!r}: uses undeclared technique {tech_id!r}"
@@ -130,10 +124,10 @@ class KnowledgeSnapshot:
             raise UnknownEntityError(f"unknown technique {tech_id!r}") from None
 
     def tactic(self, tactic_id: str) -> Tactic:
-        for tactic in self.tactics:
-            if tactic.id == tactic_id:
-                return tactic
-        raise UnknownEntityError(f"unknown tactic {tactic_id!r}")
+        try:
+            return self._tactics[tactic_id]
+        except KeyError:
+            raise UnknownEntityError(f"unknown tactic {tactic_id!r}") from None
 
     def campaign(self, campaign_id: str) -> Campaign:
         try:

@@ -84,23 +84,26 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
     if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise ParseError("bundle: expected an object with an 'objects' list")
 
-    objects = [o for o in data["objects"] if isinstance(o, Mapping)]
-    by_stix_id = {o["id"]: o for o in objects if isinstance(o.get("id"), str)}
-
-    version = "unknown"
-    for obj in objects:
-        if obj.get("type") == "x-mitre-collection":
-            raw = obj.get("x_mitre_version")
-            if isinstance(raw, str) and raw:
-                version = f"mitre-enterprise-v{raw}"
-            break
+    # Live objects by their string type, in bundle order; one whose type is
+    # not a string goes into no group.  The collection's version is read even
+    # when it is deprecated or revoked, and a dead object is still a target.
+    by_type: dict[str, list[Mapping]] = {}
+    stix_ids: set[str] = set()
+    for obj in data["objects"]:
+        if isinstance(obj, Mapping):
+            if isinstance(obj.get("id"), str):
+                stix_ids.add(obj["id"])
+            kind = obj.get("type")
+            if isinstance(kind, str) and (kind == "x-mitre-collection" or not _dead(obj)):
+                by_type.setdefault(kind, []).append(obj)
+    collections = by_type.get("x-mitre-collection")
+    raw = collections[0].get("x_mitre_version") if collections else None
+    version = f"mitre-enterprise-v{raw}" if isinstance(raw, str) and raw else "unknown"
 
     # Tactics: canonical matrix order first, any stragglers by id.
     shortname_to_id: dict[str, str] = {}
     tactic_objs: list[tuple[str, str, str]] = []
-    for obj in objects:
-        if obj.get("type") != "x-mitre-tactic" or _dead(obj):
-            continue
+    for obj in by_type.get("x-mitre-tactic", ()):
         ext = _mitre_id(obj)
         short = obj.get("x_mitre_shortname")
         if ext is None or not isinstance(short, str):
@@ -108,21 +111,13 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             continue
         shortname_to_id[short] = ext
         tactic_objs.append((short, ext, _name(obj, ext)))
-
-    def tactic_rank(entry: tuple[str, str, str]):
-        short, ext, _ = entry
-        try:
-            return (ENTERPRISE_TACTIC_ORDER.index(short), ext)
-        except ValueError:
-            return (len(ENTERPRISE_TACTIC_ORDER), ext)
-
-    tactics = [Tactic(ext, name) for _, ext, name in sorted(tactic_objs, key=tactic_rank)]
+    rank = {short: i for i, short in enumerate(ENTERPRISE_TACTIC_ORDER)}
+    tactic_objs.sort(key=lambda entry: (rank.get(entry[0], len(rank)), entry[1]))
+    tactics = [Tactic(ext, name) for _, ext, name in tactic_objs]
 
     techniques: dict[str, Technique] = {}
     stix_to_tech: dict[str, str] = {}
-    for obj in objects:
-        if obj.get("type") != "attack-pattern" or _dead(obj):
-            continue
+    for obj in by_type.get("attack-pattern", ()):
         ext = _mitre_id(obj)
         if ext is None:
             logger.warning("skipping technique without external id: %s", obj.get("id"))
@@ -146,9 +141,7 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             )
 
     campaign_objs: dict[str, tuple[str, str]] = {}
-    for obj in objects:
-        if obj.get("type") != "campaign" or _dead(obj):
-            continue
+    for obj in by_type.get("campaign", ()):
         ext = _mitre_id(obj)
         if ext is None or not isinstance(obj.get("id"), str):
             logger.warning("skipping campaign without %s: %s",
@@ -159,16 +152,12 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
         raise InvariantError("bundle contains no campaign objects")
 
     uses: dict[str, set[tuple[str, str]]] = {sid: set() for sid in campaign_objs}
-    for obj in objects:
-        if obj.get("type") != "relationship" or obj.get("relationship_type") != "uses":
+    for obj in by_type.get("relationship", ()):
+        src, dst = obj.get("source_ref"), obj.get("target_ref")
+        if (obj.get("relationship_type") != "uses"
+                or not isinstance(src, str) or src not in campaign_objs):
             continue
-        if _dead(obj):
-            continue
-        src = obj.get("source_ref")
-        dst = obj.get("target_ref")
-        if not isinstance(src, str) or src not in campaign_objs:
-            continue
-        if not isinstance(dst, str) or dst not in by_stix_id:
+        if not isinstance(dst, str) or dst not in stix_ids:
             raise InvariantError(
                 f"relationship {obj.get('id')!r}: dangling target {dst!r}"
             )
@@ -179,15 +168,6 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
             continue
         tags = techniques[tech_id].tactics
         camp_ext = campaign_objs[src][0]
-        if len(tags) > 1:
-            for tactic_id in tags:
-                logger.warning(
-                    "campaign %s: technique %s is tagged with several tactics; "
-                    "recording usage under %s",
-                    camp_ext,
-                    tech_id,
-                    tactic_id,
-                )
         if not tags:
             logger.warning(
                 "campaign %s: technique %s has no tactic tag; usage dropped",
@@ -195,6 +175,14 @@ def import_stix(source: str | IO[str]) -> KnowledgeSnapshot:
                 tech_id,
             )
         for tactic_id in tags:
+            if len(tags) > 1:
+                logger.warning(
+                    "campaign %s: technique %s is tagged with several tactics; "
+                    "recording usage under %s",
+                    camp_ext,
+                    tech_id,
+                    tactic_id,
+                )
             uses[src].add((tactic_id, tech_id))
 
     campaigns = [

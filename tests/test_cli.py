@@ -191,6 +191,20 @@ def test_metric_on_a_5000_deep_or_chain(runner, tmp_path):
     assert result.output == f"{min(costs):.6f}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["metric"],
+    ["metric", "--metric", "mincost"],
+    ["query", "--catm", "a", "--metric", "maxprob"],
+])
+def test_signed_zero_prints_without_sign(runner, tmp_path, args):
+    doc = tmp_path / "zero.at.json"
+    doc.write_text(json.dumps({"format": "at/1", "root": "a", "nodes": [
+        {"id": "a", "type": "BAS", "prob": -0.0, "attrs": {"mincost": -0.0}}]}))
+    result = invoke(runner, args[0], doc, *args[1:])
+    assert result.exit_code == 0, result.output
+    assert result.output == "0.000000\n"
+
+
 def test_metric_unknown_load(runner, fixtures):
     result = invoke(
         runner, "metric", fixtures / "wocao-initial-access.at.json", "--metric", "entropy"

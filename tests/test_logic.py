@@ -45,6 +45,7 @@ ENTRY_COSTS = {"CVE1": 8.0, "CVE2": 3.0, "GVC": 11.0, "CVP": 1.0}
 
 def test_atoms_and_connective_shapes():
     assert parse("CVE1") == Atom("CVE1")
+    assert parse("EVJ ") == Atom("EVJ")  # a whitespace-only tail ends the tokens
     assert parse("!a") == Not(Atom("a"))
     assert parse("a & b") == And(Atom("a"), Atom("b"))
     assert parse("a | b") == Or(Atom("a"), Atom("b"))
@@ -99,6 +100,7 @@ def test_nested_assign_parses_greedily():
     "bad",
     [
         "",
+        "   ",
         "a &",
         "& a",
         "(a",
@@ -124,6 +126,8 @@ def test_parse_error_carries_position():
     with pytest.raises(FormulaError) as err:
         parse("a & & b")
     assert "position" in str(err.value)
+    with pytest.raises(FormulaError, match=r"^unexpected end of formula \(at position 3\)$"):
+        parse("   ")
 
 
 def test_layer_classification():
@@ -135,6 +139,8 @@ def test_layer_classification():
         layer_of(parse("a & metric(mincost, b) <= 3"))
     with pytest.raises(FormulaError, match=r"^metric\(\.\.\.\) bodies must be layer-1 formulas$"):
         layer_of(parse("metric(mincost, metric(maxprob, A) <= 1) <= 2"))
+    with pytest.raises(TypeError, match=r"^not a formula: 'b'$"):
+        layer_of(And(Atom("a"), "b"))
 
 
 # -- layer 1 -----------------------------------------------------------------
