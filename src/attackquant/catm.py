@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import AbstractSet, Iterable, Mapping
@@ -374,15 +374,6 @@ def eval_layer1(tree: AttackTree, attack: Iterable[str], formula: Formula) -> bo
 # -- layer 2 ----------------------------------------------------------------
 
 
-def _collapse(tree: AttackTree, target: str, cone: frozenset[str]) -> AttackTree:
-    """Replace a module's subtree, its strict descendants ``cone``, by a BAS with its id."""
-    nodes = [
-        replace(node, type=GateType.BAS, children=()) if node.id == target else node
-        for node in tree.nodes.values() if node.id not in cone
-    ]
-    return AttackTree(nodes, tree.root)
-
-
 Attributions = Mapping[str, Mapping[str, float | Interval]]
 
 
@@ -404,15 +395,16 @@ def eval_layer2(
     if layer_of(formula) != 2:
         raise FormulaError("layer-1 formula: use eval_layer1")
     bind(tree, formula)
+    tree.require_valid()
     steps = tree._as_attack(attack)
 
-    # One scope per assignment under evaluation, outermost first: the tree,
-    # attack and attributions its body sees, the body's walk (metric checks
+    # One scope per assignment under evaluation, outermost first: the attack
+    # and attributions its metric checks fold, the body's walk (metric checks
     # and assignments are the walk's leaves), the verdicts so far, the body,
     # and where the body's verdict goes in the enclosing scope.
-    scopes = [_scope(tree, steps, attributions, formula, None)]
+    scopes = [_scope(steps, attributions, formula, None)]
     while True:
-        tr, att, maps, walk, verdict, body, slot = scopes[-1]
+        att, maps, walk, verdict, body, slot = scopes[-1]
         for f in walk:
             match f:
                 case Not(operand):
@@ -420,9 +412,9 @@ def eval_layer2(
                 case And(left, right):
                     verdict[id(f)] = kleene_and(verdict[id(left)], verdict[id(right)])
                 case MetricLeq():
-                    verdict[id(f)] = _metric_verdict(tr, att, maps, f, trace)
+                    verdict[id(f)] = _metric_verdict(tree, steps, att, maps, f, trace)
                 case Assign():
-                    scopes.append(_scope(*_assigned(tr, att, maps, f), f.body, (verdict, id(f))))
+                    scopes.append(_scope(*_assigned(tree, steps, att, maps, f), f.body, (verdict, id(f))))
                     break  # resume this walk once the body has its verdict
         else:
             scopes.pop()
@@ -432,21 +424,22 @@ def eval_layer2(
             into[key] = verdict[id(body)]
 
 
-def _scope(tree: AttackTree, attack: frozenset[str], maps: Attributions, body: Formula,
+def _scope(attack: frozenset[str], maps: Attributions, body: Formula,
            slot: tuple[dict[int, TruthValue], int] | None):
     walk = iter(_subformulas(body, (MetricLeq, Assign)))
-    return tree, attack, maps, walk, {}, body, slot
+    return attack, maps, walk, {}, body, slot
 
 
-def _metric_verdict(tree: AttackTree, attack: frozenset[str], maps: Attributions,
-                    check: MetricLeq, trace: list[str] | None) -> TruthValue:
+def _metric_verdict(tree: AttackTree, steps: frozenset[str], attack: frozenset[str],
+                    maps: Attributions, check: MetricLeq, trace: list[str] | None) -> TruthValue:
+    """A check's body judged on ``steps``, its metric folded over ``attack``."""
     load_name, bound = check.load, check.bound
     load = get_load(load_name)
     try:
         per_load = maps[load_name]
     except KeyError:
         raise MissingAttributionError(f"no {load_name!r} attribution supplied") from None
-    if not eval_layer1(tree, attack, check.formula):
+    if not _holds(tree, _subformulas(check.formula), steps):
         reason = "the attack does not satisfy the inner formula"
     else:
         value = by_endpoints(lambda attr: attack_metric(load, attr, attack), per_load)
@@ -455,19 +448,22 @@ def _metric_verdict(tree: AttackTree, attack: frozenset[str], maps: Attributions
             return TruthValue.TRUE
         if lo <= bound:
             return TruthValue.MAYBE
-        reason = f"the attack metric interval [{lo:g}, {hi:g}] exceeds the bound"
+        reason = f"the attack metric interval [{lo + 0.0:g}, {hi + 0.0:g}] exceeds the bound"
     if trace is not None:
         trace.append(f"metric({load_name}, ...) <= {bound:g}: FALSE because {reason}")
     return TruthValue.FALSE
 
 
-def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
-              assign: Assign) -> tuple[AttackTree, frozenset[str], Attributions]:
-    """Tree, attack and attributions that an assignment's body sees.
+def _assigned(tree: AttackTree, steps: frozenset[str], attack: frozenset[str],
+              maps: Attributions, assign: Assign) -> tuple[frozenset[str], Attributions]:
+    """Attack and attributions that an assignment's metric checks fold.
 
-    A BAS is always assignable.  An intermediate node must be a module
-    and must not dominate any atom of the body: the assignment treats it
-    as a leaf, so nothing in the formula may look below it.
+    A BAS is always assignable.  An intermediate node must be a module,
+    which acts as one leaf carrying the interval: the folded attack holds
+    it, if ``steps`` compromise it, in place of its subtree, below which no
+    atom or nested target may lie.  The subtree reaches the rest of the
+    tree through the module alone, so every node outside it keeps the value
+    the tree gives for ``steps``, and no collapsed copy of the tree is built.
     """
     target, low, high = assign.target, assign.low, assign.high
     if low > high:
@@ -476,13 +472,14 @@ def _assigned(tree: AttackTree, attack: frozenset[str], maps: Attributions,
         if not tree.is_module(target):
             raise FormulaError(f"assignment target {target!r} is not a module")
         cone = tree.descendants(target)
-        if below := cone & atoms(assign.body):
+        walk = _subformulas(assign.body)
+        if below := (cone & {f.name for f in walk if isinstance(f, Atom)}
+                     or cone & {f.target for f in walk if isinstance(f, Assign)}):
             raise FormulaError(f"formula references {', '.join(sorted(below))} "
                                f"below assignment target {target!r}")
-        succeeded = tree.structure_function(target, attack)
+        succeeded = tree.structure_function(target, steps)
         attack = (attack - cone) | ({target} if succeeded else frozenset())
-        tree = _collapse(tree, target, cone)
-    return tree, attack, {name: {**entries, target: (low, high)} for name, entries in maps.items()}
+    return attack, {name: {**entries, target: (low, high)} for name, entries in maps.items()}
 
 
 # -- formula metrics --------------------------------------------------------

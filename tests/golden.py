@@ -276,6 +276,8 @@ def _ops(trees: dict[str, AttackTree], snaps: dict[str, dict]) -> list[list[str]
         ["query", pt, "--catm", "(InA &"],
         ["query", pt, "--catm", "set GVC = [0.9, 0.1] in metric(maxprob, VPN) <= 0.3",
          "--attack", "GVC"],
+        ["query", iv, "--catm", "set VPN = [0, 1] in set GVC = [0, 1] in metric(maxprob, EVJ) <= 0.5",
+         "--attack", "CVE1"],
         ["query", pt, "--catm", "NOPE", "--attack", "GVC"],
         ["query", pt, "--catm", "InA", "--attack", ",,GVC, CVP,"],
         ["query", pt, "--catm", "InA", "--metric", "nope"],

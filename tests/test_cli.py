@@ -205,6 +205,17 @@ def test_signed_zero_prints_without_sign(runner, tmp_path, args):
     assert result.output == "0.000000\n"
 
 
+def test_signed_zero_traces_without_sign(runner, tmp_path):
+    doc = tmp_path / "zero.at.json"
+    doc.write_text(json.dumps({"format": "at/1", "root": "a", "nodes": [
+        {"id": "a", "type": "BAS", "prob": -0.0}]}))
+    result = invoke(runner, "-v", "query", doc, "--catm", "metric(maxprob, a) <= -1", "--attack", "a")
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "FALSE\n"
+    assert result.stderr == ("metric(maxprob, ...) <= -1: FALSE because "
+                             "the attack metric interval [0, 0] exceeds the bound\n")
+
+
 def test_metric_unknown_load(runner, fixtures):
     result = invoke(
         runner, "metric", fixtures / "wocao-initial-access.at.json", "--metric", "entropy"

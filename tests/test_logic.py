@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,8 @@ from attackquant import (
 from attackquant.catm import kleene_and, kleene_not, layer_of
 from attackquant.metrics import BUILTIN_LOADS, MAX_PROB, MIN_COST, attack_metric, tree_metric
 from helpers import (
-    AND, BAS, OR, cone_tree, kleene_or, random_attribution, random_tree, wocao_entry_tree,
+    AND, BAS, OR, cone_tree, holds, kleene_or, random_attribution, random_tree,
+    wocao_entry_tree,
 )
 
 T, M, F = TruthValue.TRUE, TruthValue.MAYBE, TruthValue.FALSE
@@ -387,13 +391,169 @@ def test_assign_rejects_non_module(intervals_doc):
 
 
 def test_assign_rejects_formula_peeking_below_target(intervals_doc):
-    with pytest.raises(FormulaError,
-                       match=r"^formula references CVE1 below assignment target 'EVJ'$"):
-        verdict(
-            intervals_doc,
-            "set EVJ = [0.1, 0.2] in metric(maxprob, CVE1) <= 1",
-            attack=("CVE1",),
-        )
+    # an atom below the target, then a nested assignment's target below it
+    for text, below, target in [
+        ("set EVJ = [0.1, 0.2] in metric(maxprob, CVE1) <= 1", "CVE1", "EVJ"),
+        ("set VPN = [0, 1] in set GVC = [0, 1] in metric(maxprob, EVJ) <= 0.5", "GVC", "VPN"),
+    ]:
+        with pytest.raises(FormulaError,
+                           match=rf"^formula references {below} below assignment target '{target}'$"):
+            verdict(intervals_doc, text, attack=("CVE1",))
+
+
+# -- layer 2 against its point semantics ---------------------------------------
+
+
+# The point semantics of layer 2, written from the definition: every leaf
+# value and every assigned interval is one number, an assigned module is
+# collapsed to a leaf, and a metric check is two-valued.
+POINT_LOADS = {  # load name -> (delta, its unit, the top of the leaf values)
+    "maxprob": (operator.mul, 1.0, 1.0),
+    "mincost": (operator.add, 0.0, 10.0),
+    "minskill": (max, 0.0, 10.0),
+    "mintime-seq": (operator.add, 0.0, 10.0),
+}
+
+
+def _strictly_below(tree, node_id):
+    seen, stack = set(), list(tree.nodes[node_id].children)
+    while stack:
+        nid = stack.pop()
+        if nid not in seen:
+            seen.add(nid)
+            stack.extend(tree.nodes[nid].children)
+    return seen
+
+
+def _assignable(tree, node_id):
+    """A BAS, or a gate whose subtree no node outside it points into."""
+    cone = _strictly_below(tree, node_id)
+    return not any(child in cone for n in tree.nodes.values()
+                   if n.id != node_id and n.id not in cone for child in n.children)
+
+
+def _collapsed(tree, node_id):
+    cone = _strictly_below(tree, node_id)
+    return AttackTree([Node(node_id, BAS) if n.id == node_id else n
+                       for n in tree.nodes.values() if n.id not in cone], tree.root)
+
+
+def _random_body(rng, tree, depth):
+    if depth == 0 or rng.random() < 0.5:
+        return Atom(rng.choice(sorted(tree.nodes)))
+    if rng.random() < 0.5:
+        return Not(_random_body(rng, tree, depth - 1))
+    return And(_random_body(rng, tree, depth - 1), _random_body(rng, tree, depth - 1))
+
+
+def _random_layer2(rng, tree, steps, depth):
+    """Not, And, metric checks and set on leaves and modules; ``tree`` is what the formula sees.
+
+    A bound falls in the range that an attack of ``steps`` steps spans, or
+    in [0, 1], where the assigned values lie.
+    """
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        load = rng.choice(sorted(POINT_LOADS))
+        delta, _, top = POINT_LOADS[load]
+        reach = rng.choice((1.0, top * steps if delta is operator.add else top))
+        bound = round(rng.uniform(0.0, reach) ** (2 if load == "maxprob" else 1), 3)
+        return MetricLeq(load, _random_body(rng, tree, 2), bound)
+    if pick < 0.45:
+        return Not(_random_layer2(rng, tree, steps, depth - 1))
+    if pick < 0.65:
+        return And(_random_layer2(rng, tree, steps, depth - 1),
+                   _random_layer2(rng, tree, steps, depth - 1))
+    modules = [n for n in sorted(tree.nodes) if tree.nodes[n].type is not BAS and _assignable(tree, n)]
+    target = rng.choice(modules if modules and rng.random() < 0.5 else sorted(tree.bas_ids))
+    low, high = sorted(round(rng.uniform(0.0, 1.0), 3) for _ in range(2))
+    body = _random_layer2(rng, _collapsed(tree, target), steps, depth - 1)
+    return Assign(target, low, high, body)
+
+
+def _point_holds(tree, attack, values, formula, pick):
+    """Two-valued verdict at one point: ``pick`` chooses a number from each interval."""
+    match formula:
+        case Not(operand):
+            return not _point_holds(tree, attack, values, operand, pick)
+        case And(left, right):
+            return (_point_holds(tree, attack, values, left, pick)
+                    and _point_holds(tree, attack, values, right, pick))
+        case MetricLeq(load, body, bound):
+            delta, unit, _ = POINT_LOADS[load]
+            metric = functools.reduce(delta, (values[load][s] for s in sorted(attack)), unit)
+            return _layer1_holds(tree, attack, body) and metric <= bound
+        case Assign(target, low, high, body):
+            if tree.nodes[target].type is not BAS:
+                cone = _strictly_below(tree, target)
+                succeeded = holds(tree, target, attack)
+                attack = (attack - cone) | ({target} if succeeded else set())
+                tree = _collapsed(tree, target)
+            value = pick((low, high))
+            values = {load: {**per, target: value} for load, per in values.items()}
+            return _point_holds(tree, attack, values, body, pick)
+
+
+def _layer1_holds(tree, attack, body):
+    match body:
+        case Atom(name):
+            return holds(tree, name, attack)
+        case Not(operand):
+            return not _layer1_holds(tree, attack, operand)
+        case And(left, right):
+            return _layer1_holds(tree, attack, left) and _layer1_holds(tree, attack, right)
+
+
+def _targets(formula):
+    match formula:
+        case Not(operand):
+            return _targets(operand)
+        case And(left, right):
+            return _targets(left) | _targets(right)
+        case Assign(target, _, _, body):
+            return {target} | _targets(body)
+    return set()
+
+
+def _lone_check(formula):
+    while isinstance(formula, Assign):
+        formula = formula.body
+    return isinstance(formula, MetricLeq)
+
+
+def test_layer2_verdicts_are_sound_for_every_point():
+    """TRUE: every point holds; FALSE: none does; a lone check's MAYBE: its corners disagree."""
+    seen = Counter()
+    for seed in range(2500):
+        rng = random.Random(seed)
+        tree = random_tree(rng, max_leaves=8, dag=seed % 2 == 1)
+        leaves = sorted(tree.bas_ids)
+        attrs = {}
+        for load, (_, _, top) in POINT_LOADS.items():
+            attrs[load] = {}
+            for leaf in leaves:
+                a, b = sorted(round(rng.uniform(0.0, top), 3) for _ in range(2))
+                attrs[load][leaf] = (a, b) if rng.random() < 0.8 else a
+        attack = frozenset(leaf for leaf in leaves if rng.random() < 0.7)
+        formula = _random_layer2(rng, tree, len(attack), 3)
+        got = eval_layer2(tree, attack, attrs, formula)
+        seen[got, any(tree.nodes[t].type is not BAS for t in _targets(formula))] += 1
+
+        def at(pick):
+            values = {load: {leaf: v if isinstance(v, float) else pick(v) for leaf, v in per.items()}
+                      for load, per in attrs.items()}
+            return _point_holds(tree, set(attack), values, formula, pick)
+
+        lower, upper = at(lambda iv: iv[0]), at(lambda iv: iv[1])
+        points = [lower, upper] + [at(lambda iv: rng.uniform(*iv)) for _ in range(2)]
+        if got is T:
+            assert all(points), (seed, formula)
+        elif got is F:
+            assert not any(points), (seed, formula)
+        elif _lone_check(formula):
+            assert lower != upper, (seed, formula)
+    # every verdict is reached, with and without a module assigned
+    assert all(seen[v, module] >= 20 for v in (T, M, F) for module in (False, True)), seen
 
 
 # -- formula metrics -----------------------------------------------------------
